@@ -1,29 +1,28 @@
 // Experiment E10 — design-choice ablations called out in DESIGN.md:
-//   (a) dispatcher parallelism: with d > 1 the exactly-once rule degrades
-//       to at-most-once (cross-dispatcher races); measure recall.
+//   (a) dispatcher parallelism: d ingest lanes (d router instances, joiners
+//       merge the lanes back into seq order) — throughput per lane count;
+//       every cell must stay exact (recall 1.0 against the oracle).
 //   (b) planner sample size: how much history the load-aware partitioner
 //       needs before the measured imbalance converges.
 //   (c) positional filter on/off inside the record joiner.
 
 #include <algorithm>
-#include <set>
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "core/brute_force_joiner.h"
 #include "core/record_joiner.h"
 
 namespace dssj::bench {
 namespace {
 
-// (a) dispatcher parallelism → result recall + throughput.
+// (a) dispatcher parallelism → throughput, with exactness checked per cell.
 void BM_DispatcherParallelism(benchmark::State& state) {
-  const int dispatchers = static_cast<int>(state.range(0));
+  const int lanes = static_cast<int>(state.range(0));
   const auto& stream = CachedDupStream(0.4, 20000);
   DistributedJoinOptions options = BaseJoinOptions(800, 4);
   options.strategy = DistributionStrategy::kLengthBased;
-  options.num_dispatchers = dispatchers;
+  options.ingest_lanes = lanes;
   options.length_partition =
       PlanLengthPartition(stream, options.sim, 4, PartitionMethod::kLoadAwareGreedy);
   options.collect_results = false;
@@ -31,14 +30,11 @@ void BM_DispatcherParallelism(benchmark::State& state) {
   for (auto _ : state) {
     result = RunDistributedJoin(stream, options);
   }
-  // Ground truth for recall.
-  static uint64_t truth = [&] {
-    BruteForceJoiner reference(options.sim, options.window);
-    return SingleNodeJoin(stream, reference).size();
-  }();
+  const uint64_t truth = OracleResultCount(stream, options.sim);
   ReportJoinResult(state, result);
   state.counters["recall"] =
       truth > 0 ? static_cast<double>(result.result_count) / static_cast<double>(truth) : 1.0;
+  CheckExact(state, result, truth);
 }
 
 BENCHMARK(BM_DispatcherParallelism)

@@ -27,10 +27,13 @@ void RunScaling(benchmark::State& state, DistributionStrategy strategy) {
   options.strategy = strategy;
   options.window = WindowSpec::ByCount(15000);
   // Scale the dispatcher tier with the cluster (as a Storm deployment
-  // would); otherwise one dispatcher's serialization work caps every
-  // strategy at high k. The multi-dispatcher at-most-once caveat is
-  // quantified in E10.
-  options.num_dispatchers = std::max(1, joiners / 8);
+  // would) by splitting the ingestion front end into lanes; otherwise one
+  // dispatcher's serialization work caps every strategy at high k. Lanes
+  // keep results exact but need a stateless router, so broadcast (whose
+  // round-robin store placement is per-dispatcher state) stays at one lane.
+  if (strategy != DistributionStrategy::kBroadcast) {
+    options.ingest_lanes = std::max(1, joiners / 8);
+  }
   if (strategy == DistributionStrategy::kLengthBased) {
     options.length_partition =
         PlanLengthPartition(stream, options.sim, joiners, PartitionMethod::kLoadAwareGreedy);

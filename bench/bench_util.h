@@ -3,11 +3,13 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
+#include "core/brute_force_joiner.h"
 #include "core/join_topology.h"
 #include "text/record.h"
 #include "workload/generator.h"
@@ -63,6 +65,39 @@ inline DistributedJoinOptions BaseJoinOptions(int64_t threshold_permille, int jo
   options.queue_capacity = 8192;
   options.remote_byte_cost_ns = 2.0;
   return options;
+}
+
+/// Brute-force oracle result count for `stream` under `sim` with an
+/// unbounded window, memoized per (stream, similarity). Sweeps compare
+/// every cell's result_count against it: a distributed run is exact only
+/// if it reports exactly this many pairs.
+inline uint64_t OracleResultCount(const std::vector<RecordPtr>& stream,
+                                  const SimilaritySpec& sim) {
+  static auto* cache = new std::map<std::tuple<const void*, size_t, int, int64_t>, uint64_t>();
+  const auto key = std::make_tuple(static_cast<const void*>(stream.data()), stream.size(),
+                                   static_cast<int>(sim.function()), sim.threshold_permille());
+  auto it = cache->find(key);
+  if (it == cache->end()) {
+    BruteForceJoiner oracle(sim, WindowSpec::Unbounded());
+    uint64_t count = 0;
+    for (const RecordPtr& r : stream) {
+      oracle.Process(r, /*store=*/true, /*probe=*/true, [&count](const ResultPair&) { ++count; });
+    }
+    it = cache->emplace(key, count).first;
+  }
+  return it->second;
+}
+
+/// Fails the benchmark cell unless `r` reports exactly the oracle's result
+/// count. Returns false (after SkipWithError) on a mismatch.
+inline bool CheckExact(benchmark::State& state, const DistributedJoinResult& r,
+                       uint64_t oracle) {
+  if (r.ok && r.result_count == oracle) return true;
+  const std::string msg = "inexact: result_count " + std::to_string(r.result_count) +
+                          " != oracle " + std::to_string(oracle) +
+                          (r.ok ? "" : " (run failed: " + r.failure_message + ")");
+  state.SkipWithError(msg.c_str());
+  return false;
 }
 
 /// Publishes the result metrics every macro bench reports.

@@ -148,10 +148,7 @@ class DispatcherBolt : public stream::Bolt {
 
   void Prepare(const stream::TaskContext& ctx) override {
     lane_ = ctx.task_index;
-    // Not ctx.parallelism: multi-dispatcher runs (num_dispatchers > 1,
-    // lanes == 1) must not emit watermarks — joiners only merge when the
-    // run was configured with ingest lanes.
-    lanes_ = std::max(1, options_->ingest_lanes);
+    lanes_ = std::max(1, ctx.parallelism);
     router_ = MakeRouter(*options_, adaptive_state_);
   }
 
@@ -294,8 +291,8 @@ class JoinerBolt : public stream::Bolt {
 
   void ExecuteBatch(stream::TupleBatch batch, stream::OutputCollector& out) override {
     // One health read per batch: the queue cannot refill mid-batch beyond
-    // what the sample saw by more than the in-flight producers, and the
-    // sample itself takes the queue lock.
+    // what the sample saw by more than the in-flight producers, and a
+    // tracked sample takes the health tracker's lock.
     SampleHealth();
     for (stream::Tuple& tuple : batch) Process(tuple, out);
   }
@@ -854,8 +851,6 @@ std::unique_ptr<Router> MakeRouter(const DistributedJoinOptions& options,
       CHECK_EQ(partition.num_partitions(), options.num_joiners)
           << "length partition size must match num_joiners";
       if (options.adaptive) {
-        CHECK_EQ(options.num_dispatchers, 1)
-            << "adaptive routing keeps epoch state per dispatcher; use one dispatcher";
         AdaptiveRouterOptions adaptive = options.adaptive_options;
         if (options.window.kind == WindowSpec::Kind::kTime) {
           adaptive.window_span_micros = options.window.span_micros;
@@ -916,13 +911,9 @@ std::unique_ptr<LocalJoiner> MakeLocalJoiner(const DistributedJoinOptions& optio
 DistributedJoinResult RunDistributedJoin(const std::vector<RecordPtr>& input,
                                          const DistributedJoinOptions& options) {
   CHECK_GE(options.num_joiners, 1);
-  CHECK_GE(options.num_dispatchers, 1);
   const int lanes = std::max(1, options.ingest_lanes);
   std::shared_ptr<AdaptiveRouterState> adaptive_state;
   if (lanes > 1) {
-    CHECK_EQ(options.num_dispatchers, 1)
-        << "--ingest_lanes shards the single logical dispatcher; "
-           "num_dispatchers must stay 1";
     CHECK(options.strategy == DistributionStrategy::kLengthBased ||
           options.strategy == DistributionStrategy::kPrefixBased)
         << "--ingest_lanes requires a stateless routing strategy "
@@ -982,7 +973,6 @@ DistributedJoinResult RunDistributedJoin(const std::vector<RecordPtr>& input,
   stream::TopologyBuilder builder;
   builder.SetNumWorkers(workers)
       .SetQueueCapacity(options.queue_capacity)
-      .SetQueueImpl(options.queue_impl)
       .SetPinThreads(options.pin_threads)
       .SetBatchSize(options.batch_size)
       .SetRemoteByteCostNanos(options.remote_byte_cost_ns);
@@ -1023,19 +1013,16 @@ DistributedJoinResult RunDistributedJoin(const std::vector<RecordPtr>& input,
       },
       lanes);
   if (pin) source.SetPlacement(std::vector<int>(lanes, 0));
-  const int dispatcher_tasks = lanes > 1 ? lanes : options.num_dispatchers;
-  stream::BoltDeclarer dispatcher = builder.SetBolt(
-      kDispatcherName,
-      [&options, shared, adaptive_state] {
-        return std::make_unique<DispatcherBolt>(&options, shared, adaptive_state);
-      },
-      dispatcher_tasks);
-  if (lanes > 1) {
-    dispatcher.PartnerGrouping(kSourceName);
-  } else {
-    dispatcher.ShuffleGrouping(kSourceName);
-  }
-  if (pin) dispatcher.SetPlacement(std::vector<int>(dispatcher_tasks, 0));
+  stream::BoltDeclarer dispatcher =
+      builder
+          .SetBolt(
+              kDispatcherName,
+              [&options, shared, adaptive_state] {
+                return std::make_unique<DispatcherBolt>(&options, shared, adaptive_state);
+              },
+              lanes)
+          .PartnerGrouping(kSourceName);
+  if (pin) dispatcher.SetPlacement(std::vector<int>(lanes, 0));
   stream::BoltDeclarer joiner =
       builder
           .SetBolt(

@@ -87,7 +87,7 @@ class Bolt {
   /// Process one tuple; emit any outputs via `out`.
   virtual void Execute(Tuple tuple, OutputCollector& out) = 0;
 
-  /// Process a batch of tuples popped from the inbound queue under one lock
+  /// Process a batch of tuples popped from the inbound queue in one call
   /// (FIFO order within the batch). The default forwards to Execute per
   /// tuple; override to hoist per-batch work. Correctness must not depend
   /// on batch boundaries — the executor may deliver any split, including

@@ -114,17 +114,23 @@ StatusOr<FaultScript> FaultScript::Parse(const std::string& text) {
     if (colon == std::string::npos) return Malformed(stmt, "expected '<verb>:'");
     const std::string verb = Trim(stmt.substr(0, colon));
     const std::string body = stmt.substr(colon + 1);
-    if (verb == "kill") {
+    if (verb == "kill" || verb == "stall") {
       const size_t at = body.find('@');
       if (at == std::string::npos) return Malformed(stmt, "expected '@<count>'");
-      KillFault fault;
-      if (!ParseEndpoint(Trim(body.substr(0, at)), &fault.component, &fault.task_index)) {
+      std::string component;
+      int task_index = 0;
+      uint64_t at_count = 0;
+      if (!ParseEndpoint(Trim(body.substr(0, at)), &component, &task_index)) {
         return Malformed(stmt, "bad target '<comp>:<task>'");
       }
-      if (!ParseU64(Trim(body.substr(at + 1)), &fault.at_count)) {
-        return Malformed(stmt, "bad kill count");
+      if (!ParseU64(Trim(body.substr(at + 1)), &at_count)) {
+        return Malformed(stmt, "bad " + verb + " count");
       }
-      script.KillAt(fault.component, fault.task_index, fault.at_count);
+      if (verb == "kill") {
+        script.KillAt(component, task_index, at_count);
+      } else {
+        script.StallAt(component, task_index, at_count);
+      }
     } else if (verb == "kill_worker") {
       const size_t at = body.find('@');
       if (at == std::string::npos) return Malformed(stmt, "expected '@<seq>'");

@@ -45,6 +45,20 @@ struct KillFault {
   uint64_t at_count = 0;
 };
 
+/// Hold one bolt task the moment its canonical progress counter reaches
+/// `at_count` (just before executing data tuple at_count + 1) until its
+/// inbound queue is full — or closed, or every upstream task has exited so
+/// nothing more can arrive — then let it continue. The deterministic
+/// stand-in for a slow consumer: "the producer outran this task" becomes a
+/// scripted state instead of a wall-clock race (the overload tests gate
+/// shedding on it). The executor pops no tuple past `at_count` before the
+/// hold, so at release the queue holds exactly the tuples that follow it.
+struct StallFault {
+  std::string component;
+  int task_index = 0;
+  uint64_t at_count = 0;
+};
+
 enum class LinkFaultKind {
   kDrop,        ///< envelope never reaches the consumer queue (recovered from retention)
   kDuplicate,   ///< envelope is delivered twice (consumer discards the copy)
@@ -96,6 +110,7 @@ struct LinkFault {
 /// from the CLI DSL via Parse():
 ///
 ///   kill:<comp>:<task>@<count>
+///   stall:<comp>:<task>@<count>
 ///   kill_worker:<rank>@<seq>
 ///   migrate:<comp>:<task>-><rank>@<seq>
 ///   drop:<comp>:<i>-><comp>:<j>@<seq>
@@ -117,6 +132,10 @@ class FaultScript {
 
   FaultScript& KillAt(const std::string& component, int task_index, uint64_t at_count) {
     kills_.push_back(KillFault{component, task_index, at_count});
+    return *this;
+  }
+  FaultScript& StallAt(const std::string& component, int task_index, uint64_t at_count) {
+    stalls_.push_back(StallFault{component, task_index, at_count});
     return *this;
   }
   FaultScript& DropAt(const std::string& src, int src_index, const std::string& dst,
@@ -159,19 +178,22 @@ class FaultScript {
   }
 
   bool empty() const {
-    return kills_.empty() && links_.empty() && worker_kills_.empty() && migrations_.empty();
+    return kills_.empty() && stalls_.empty() && links_.empty() && worker_kills_.empty() &&
+           migrations_.empty();
   }
   bool has_link_faults() const { return !links_.empty(); }
   /// True when any statement fires on source progress (needs the action
   /// driver thread).
   bool has_progress_actions() const { return !worker_kills_.empty() || !migrations_.empty(); }
   const std::vector<KillFault>& kills() const { return kills_; }
+  const std::vector<StallFault>& stalls() const { return stalls_; }
   const std::vector<LinkFault>& link_faults() const { return links_; }
   const std::vector<WorkerKillFault>& worker_kills() const { return worker_kills_; }
   const std::vector<MigrateAction>& migrations() const { return migrations_; }
 
  private:
   std::vector<KillFault> kills_;
+  std::vector<StallFault> stalls_;
   std::vector<LinkFault> links_;
   std::vector<WorkerKillFault> worker_kills_;
   std::vector<MigrateAction> migrations_;

@@ -45,9 +45,10 @@ struct OverloadOptions {
   }
 };
 
-/// Point-in-time health snapshot of one task's inbound queue, taken under
-/// the queue lock (BoundedQueue::Health). Tracking is off (and the numbers
-/// stay zero) unless EnableHealthTracking() was called before Submit.
+/// Point-in-time health snapshot of one task's inbound queue
+/// (Queue::Health). Tracking is off (and the gauges other than depth and
+/// capacity stay zero) unless EnableHealthTracking() was called before
+/// Submit.
 struct QueueHealth {
   size_t depth = 0;
   size_t capacity = 0;

@@ -20,15 +20,14 @@
 
 namespace dssj::stream {
 
-/// Lock-free ring implementations of the Queue<T> contract (queue.h) for
-/// co-located links — selected per link by the topology when it runs with
-/// QueueImpl::kRing (the default):
+/// Lock-free ring implementations of the Queue<T> contract (queue.h) —
+/// MakeQueue picks one per link:
 ///
 ///   SpscRingQueue  1:1 links (single upstream task, no transport threads):
 ///                  a classic single-producer single-consumer ring with
 ///                  monotonic 64-bit cursors.
-///   RingQueue      fan-in links: a bounded MPMC ring in the style of
-///                  Vyukov's algorithm — every slot carries its own sequence
+///   RingQueue      fan-in links and the TCP send queues: a bounded MPMC
+///                  ring in the style of Vyukov's algorithm — every slot carries its own sequence
 ///                  number, producers claim slots with a CAS on the enqueue
 ///                  cursor and publish by storing the slot sequence.
 ///
@@ -98,8 +97,7 @@ inline int SpinIters() {
 /// a parked (sleeping) thread does — the waiter would consistently lose
 /// the race to observe the state its peer just produced (e.g. a consumer
 /// sampling queue depth before the producer refills). Parking promptly
-/// restores the sleeper-wakeup scheduling boost the mutex queue gets for
-/// free from its condvar.
+/// restores the sleeper-wakeup scheduling boost a condvar wait gets.
 inline int YieldIters() {
   static const int iters = std::thread::hardware_concurrency() > 1 ? 64 : 0;
   return iters;
@@ -245,13 +243,14 @@ class TrickleGate {
   std::atomic<bool> nap_mode_{false};
 };
 
-/// Queue-health bookkeeping shared by both rings, replicating the
-/// BoundedQueue gauges (depth EWMA, time at capacity, oldest-tuple age via
-/// (count, stamp) runs). Inert — one dead atomic branch per operation —
-/// until Enable(); when enabled it serializes on its own small mutex, which
-/// only overload-control runs ever turn on (the mutex queue held a lock for
-/// the same bookkeeping). Depths are the caller's racy post-op estimates:
-/// the gauges steer shedding and the watchdog, not correctness.
+/// Queue-health bookkeeping shared by both rings (depth EWMA, time at
+/// capacity, oldest-tuple age via (count, stamp) runs — one entry per push
+/// call, not per item, so the oldest-age probe stays O(1) amortized).
+/// Inert — one dead atomic branch per operation — until Enable(); when
+/// enabled it serializes on its own small mutex, which only
+/// overload-control runs ever turn on. Depths are the caller's racy
+/// post-op estimates: the gauges steer shedding and the watchdog, not
+/// correctness.
 class RingHealthTracker {
  public:
   void Enable() { enabled_.store(true, std::memory_order_release); }
@@ -525,7 +524,7 @@ class SpscRingQueue final : public Queue<T> {
     if ((claim_.load(std::memory_order_relaxed) & kPosMask) - tail >= capacity_) {
       producers_.Wake();
     }
-    health_.OnDequeued(n, DepthAfter(head_.load(std::memory_order_relaxed)), capacity_);
+    health_.OnDequeued(n, size(), capacity_);
   }
 
   size_t DepthAfter(uint64_t head) const {
@@ -554,8 +553,9 @@ class SpscRingQueue final : public Queue<T> {
 /// Bounded lock-free MPMC ring (Vyukov-style slot sequencing) with the
 /// blocking Queue<T> contract on top. The topology uses it for fan-in
 /// links — several producer tasks (or transport threads) feeding one
-/// consumer task — but it is safe for any number of consumers too, which
-/// the stress tests exercise.
+/// consumer task — and TcpTransport for its per-peer send queues (many
+/// executor threads feeding one sender thread). It is safe for any number
+/// of consumers too, which the stress tests exercise.
 ///
 /// Every slot carries a sequence number: `seq == pos` means free for the
 /// producer claiming position pos, `seq == pos + 1` means published for the
@@ -843,12 +843,11 @@ class RingQueue final : public Queue<T> {
   ring_detail::RingHealthTracker health_;
 };
 
-/// Builds the implementation `impl` selects for a link with the given
-/// number of producer threads (`spsc_safe` = exactly one producer task and
-/// no transport threads can ever push).
+/// Builds the queue for a link: the SPSC ring when `spsc_safe` (exactly one
+/// producer task and no transport threads can ever push), else the MPMC
+/// ring.
 template <typename T>
-std::unique_ptr<Queue<T>> MakeQueue(QueueImpl impl, size_t capacity, bool spsc_safe) {
-  if (impl == QueueImpl::kMutex) return std::make_unique<BoundedQueue<T>>(capacity);
+std::unique_ptr<Queue<T>> MakeQueue(size_t capacity, bool spsc_safe) {
   if (spsc_safe) return std::make_unique<SpscRingQueue<T>>(capacity);
   return std::make_unique<RingQueue<T>>(capacity);
 }

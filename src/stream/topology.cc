@@ -26,7 +26,6 @@
 #include "store/state_store.h"
 #include "stream/channel.h"
 #include "stream/migration.h"
-#include "stream/queue.h"
 #include "stream/ring_queue.h"
 
 namespace dssj::stream {
@@ -104,7 +103,6 @@ struct TopologyImpl {
   std::vector<Task> tasks;
   int num_workers = 1;
   size_t queue_capacity = 1024;
-  QueueImpl queue_impl = QueueImpl::kRing;
   bool pin_threads = false;
   size_t batch_size = 32;
   double remote_byte_cost_ns = 0.0;
@@ -133,9 +131,11 @@ struct TopologyImpl {
   bool fault_active = false;
   SupervisorOptions supervision;
   FaultScript fault_script;
-  // Resolved at Build(), indexed by task id: scripted kill counts (sorted)
-  // and, per producer task, destination-task → link faults (sorted by seq).
+  // Resolved at Build(), indexed by task id: scripted kill and stall counts
+  // (sorted) and, per producer task, destination-task → link faults (sorted
+  // by seq).
   std::vector<std::vector<uint64_t>> kill_plan;
+  std::vector<std::vector<uint64_t>> stall_plan;
   std::vector<std::unordered_map<int, std::vector<ResolvedLinkFault>>> link_plan;
 
   // Retention for scripted drops: a dropped envelope parks here (keyed by
@@ -224,6 +224,9 @@ struct TopologyImpl {
   std::map<uint32_t, MigrationRun> migration_runs;  ///< guarded by mig_mu
   std::set<uint32_t> activated_migrations;          ///< target-side dedup (mig_mu)
   bool coordinator_done = false;  ///< rank 0 run-over broadcast landed (mig_mu)
+  /// Wait() has finished the transport: no control frame can arrive any
+  /// more, so a migration still waiting for a remote reply never gets one.
+  std::atomic<bool> transport_done{false};
   std::mutex elastic_mu;  ///< serializes migrations: one handoff at a time
   std::vector<std::thread> elastic_threads;  ///< adopted executors (mig_mu)
 
@@ -246,6 +249,9 @@ struct TopologyImpl {
   void RunSpoutTask(Task& task);
   void RunBoltTask(Task& task, const MigrationState* restore = nullptr);
   void NoteTaskExit(int task_id);
+  /// Scripted stall (StallFault): blocks until `task`'s inbound queue is
+  /// full or closed, every upstream task has exited, or the run failed.
+  void HoldUntilBacklogged(const Task& task);
   void MarkFailed(const std::string& msg);
   void RunWatchdog();
   void StopWatchdog();
@@ -396,6 +402,25 @@ void TopologyImpl::FailFromTransport(const std::string& message) {
   MarkFailed("transport: " + message);
   for (Task& task : tasks) {
     if (task.queue != nullptr) task.queue->Close();
+  }
+}
+
+void TopologyImpl::HoldUntilBacklogged(const Task& task) {
+  const auto upstream_exited = [this, &task] {
+    for (const auto& producer : comps) {
+      for (const Subscription& sub : producer->subs_out) {
+        if (sub.consumer_comp != task.comp) continue;
+        for (int i = 0; i < producer->parallelism; ++i) {
+          const size_t id = static_cast<size_t>(producer->first_task + i);
+          if (task_exited[id].load(std::memory_order_acquire) == 0) return false;
+        }
+      }
+    }
+    return true;
+  };
+  while (task.queue->size() < task.queue->capacity() && !task.queue->closed() &&
+         !failed.load(std::memory_order_acquire) && !upstream_exited()) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
 }
 
@@ -570,9 +595,10 @@ void TopologyImpl::SleepBackoff(int64_t* backoff_micros) const {
 ///
 /// With batch_size > 1, outbound envelopes are staged in per-consumer-task
 /// buffers and handed to the consumer's queue via PushBatch once a buffer
-/// reaches batch_size (one lock + one wakeup per batch instead of per
-/// tuple). Buffering never reorders tuples headed to the same consumer
-/// task, so per-link FIFO — the exactly-once rule's foundation — holds.
+/// reaches batch_size (one queue call + at most one wakeup per batch
+/// instead of per tuple). Buffering never reorders tuples headed to the
+/// same consumer task, so per-link FIFO — the exactly-once rule's
+/// foundation — holds.
 /// The executor flushes all buffers before emitting end-of-stream.
 ///
 /// Under supervision the collector additionally keeps, per consumer task,
@@ -1122,6 +1148,7 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
   if (supervised) {
     kills.assign(kill_plan[task.id].begin(), kill_plan[task.id].end());
   }
+  std::deque<uint64_t> stalls(stall_plan[task.id].begin(), stall_plan[task.id].end());
   const bool snap_ok = task.bolt->SupportsSnapshot();
   const uint64_t ckpt_interval =
       (supervised && snap_ok) ? supervision.checkpoint_interval : 0;
@@ -1147,6 +1174,7 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
     collector.RestoreMigration(*restore);
     guard.Restore(restore->next_seq);
     while (!kills.empty() && kills.front() < executed_total) kills.pop_front();
+    while (!stalls.empty() && stalls.front() < executed_total) stalls.pop_front();
   }
 
   ckpt.executed = executed_total;
@@ -1442,6 +1470,7 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
         const int64_t begin = NowNanos();
         task.bolt->ExecuteBatch(std::move(batch), collector);
         m.executed.Add(executed);
+        executed_total += executed;
         // One sample per batch (per-tuple timing would dominate small
         // Execute bodies at large batch sizes).
         m.execute_nanos.Add(static_cast<uint64_t>(NowNanos() - begin));
@@ -1568,9 +1597,21 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
   };
 
   while (remaining > 0) {
+    // A pending scripted stall caps the pop so no tuple past the stall
+    // point leaves the queue before the hold.
+    size_t max_pop = batch_size;
+    if (!stalls.empty()) {
+      if (executed_total >= stalls.front()) {
+        HoldUntilBacklogged(task);
+        stalls.pop_front();
+        continue;
+      }
+      max_pop = static_cast<size_t>(
+          std::min<uint64_t>(max_pop, stalls.front() - executed_total));
+    }
     inbox.clear();
     const int64_t pop_t0 = NowNanos();
-    const size_t popped = task.queue->PopBatch(&inbox, batch_size);
+    const size_t popped = task.queue->PopBatch(&inbox, max_pop);
     m.idle_nanos.Add(static_cast<uint64_t>(NowNanos() - pop_t0));
     if (popped == 0) break;  // closed
     if (elastic) {
@@ -1697,6 +1738,9 @@ Status TopologyImpl::MigrateTaskId(int task_id, int target_worker) {
   if (failed.load(std::memory_order_acquire)) {
     return Status::Internal("topology already failed");
   }
+  if (transport_done.load(std::memory_order_acquire)) {
+    return Status::FailedPrecondition("run already finished");
+  }
 
   uint32_t migration_id = 0;
   {
@@ -1755,6 +1799,7 @@ Status TopologyImpl::MigrateTaskId(int task_id, int target_worker) {
     std::unique_lock<std::mutex> lock(mig_mu);
     MigrationRun& run = migration_runs.at(migration_id);
     while (run.phase == MigPhase::kFreezing && !failed.load(std::memory_order_acquire) &&
+           !transport_done.load(std::memory_order_acquire) &&
            !(src_local && task_exited != nullptr &&
              task_exited[static_cast<size_t>(task_id)].load(std::memory_order_acquire) != 0)) {
       mig_cv.wait_for(lock, std::chrono::milliseconds(5));
@@ -1848,7 +1893,8 @@ Status TopologyImpl::MigrateTaskId(int task_id, int target_worker) {
     {
       std::unique_lock<std::mutex> lock(mig_mu);
       MigrationRun& run = migration_runs.at(migration_id);
-      while (run.phase == MigPhase::kShipped && !failed.load(std::memory_order_acquire)) {
+      while (run.phase == MigPhase::kShipped && !failed.load(std::memory_order_acquire) &&
+             !transport_done.load(std::memory_order_acquire)) {
         mig_cv.wait_for(lock, std::chrono::milliseconds(5));
       }
       if (run.phase != MigPhase::kHandoff) {
@@ -2208,11 +2254,6 @@ TopologyBuilder& TopologyBuilder::SetQueueCapacity(size_t capacity) {
   return *this;
 }
 
-TopologyBuilder& TopologyBuilder::SetQueueImpl(QueueImpl impl) {
-  impl_->queue_impl = impl;
-  return *this;
-}
-
 TopologyBuilder& TopologyBuilder::SetPinThreads(bool pin) {
   impl_->pin_threads = pin;
   return *this;
@@ -2375,7 +2416,7 @@ std::unique_ptr<Topology> TopologyBuilder::Build() {
         // Elastic topologies add the migration driver as a second pusher.
         const bool spsc_safe =
             comp.upstream_tasks == 1 && t.transport == nullptr && !t.elastic;
-        task.queue = MakeQueue<Envelope>(t.queue_impl, t.queue_capacity, spsc_safe);
+        task.queue = MakeQueue<Envelope>(t.queue_capacity, spsc_safe);
       }
       t.tasks.push_back(std::move(task));
     }
@@ -2438,6 +2479,7 @@ std::unique_ptr<Topology> TopologyBuilder::Build() {
   // Resolve the fault script against the materialized tasks. Script errors
   // are configuration errors, so they abort like every other Build() check.
   t.kill_plan.assign(t.tasks.size(), {});
+  t.stall_plan.assign(t.tasks.size(), {});
   t.link_plan.assign(t.tasks.size(), {});
   const auto resolve_task = [&t](const std::string& component, int index,
                                  const char* what) -> int {
@@ -2455,6 +2497,21 @@ std::unique_ptr<Topology> TopologyBuilder::Build() {
         kill.at_count);
   }
   for (std::vector<uint64_t>& kills : t.kill_plan) std::sort(kills.begin(), kills.end());
+  for (const StallFault& stall : t.fault_script.stalls()) {
+    const int id = resolve_task(stall.component, stall.task_index, "stall");
+    CHECK(!t.comps[t.tasks[id].comp]->is_spout)
+        << "fault script stall targets spout " << stall.component << "; stalls hold bolts";
+    t.stall_plan[id].push_back(stall.at_count);
+  }
+  for (std::vector<uint64_t>& stalls : t.stall_plan) std::sort(stalls.begin(), stalls.end());
+  if (!t.fault_script.stalls().empty() && t.task_exited == nullptr) {
+    // A stall also releases once its upstream exited, which needs exit
+    // tracking.
+    t.task_exited = std::make_unique<std::atomic<uint8_t>[]>(t.tasks.size());
+    for (size_t i = 0; i < t.tasks.size(); ++i) {
+      t.task_exited[i].store(t.Hosted(static_cast<int>(i)) ? 0 : 1, std::memory_order_relaxed);
+    }
+  }
   for (const LinkFault& fault : t.fault_script.link_faults()) {
     const int src = resolve_task(fault.src_component, fault.src_index, "link fault source");
     const int dst =
@@ -2659,6 +2716,13 @@ void Topology::Wait() {
           }
         });
     if (report.remote_failed) t.MarkFailed(report.remote_failure);
+    {
+      // Release a controller's MigrateTask still waiting on a PREPARE or
+      // STATE reply the finished peers will never send.
+      std::lock_guard<std::mutex> lock(t.mig_mu);
+      t.transport_done.store(true, std::memory_order_release);
+      t.mig_cv.notify_all();
+    }
     // A STATE frame racing the barrier can adopt an executor after the
     // drain above; join any stragglers so no thread outlives the impl.
     std::vector<std::thread> stragglers;

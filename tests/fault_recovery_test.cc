@@ -284,18 +284,24 @@ TEST_F(FaultScenario, SupervisionWithoutFaultsIsTransparent) {
 
 TEST(FaultScriptTest, ParsesAllVerbs) {
   const auto script = stream::FaultScript::Parse(
-      " kill:joiner:2@500 ;drop:a:0->b:1@9;dup:a:0->b:0@3 ; delay:x:1->y:0@7x250 ");
+      " kill:joiner:2@500 ;drop:a:0->b:1@9;dup:a:0->b:0@3 ; delay:x:1->y:0@7x250 ;"
+      "stall:joiner:1@0");
   ASSERT_TRUE(script.ok()) << script.status().message();
   EXPECT_EQ(script.value().kills().size(), 1u);
   EXPECT_EQ(script.value().link_faults().size(), 3u);
   EXPECT_EQ(script.value().kills()[0].component, "joiner");
   EXPECT_EQ(script.value().kills()[0].task_index, 2);
   EXPECT_EQ(script.value().kills()[0].at_count, 500u);
+  ASSERT_EQ(script.value().stalls().size(), 1u);
+  EXPECT_EQ(script.value().stalls()[0].component, "joiner");
+  EXPECT_EQ(script.value().stalls()[0].task_index, 1);
+  EXPECT_EQ(script.value().stalls()[0].at_count, 0u);
 }
 
 TEST(FaultScriptTest, RejectsMalformedScripts) {
   for (const char* bad : {"kill:joiner@5", "boom:joiner:0@5", "drop:a:0->b:1", "kill:j:0@",
-                          "kill:j:x@5", "delay:a:0->b:1@5", "drop:a:0->b:1@0"}) {
+                          "kill:j:x@5", "delay:a:0->b:1@5", "drop:a:0->b:1@0",
+                          "stall:joiner@5", "stall:j:0@x"}) {
     EXPECT_FALSE(stream::FaultScript::Parse(bad).ok()) << "accepted: " << bad;
   }
 }

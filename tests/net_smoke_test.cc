@@ -65,6 +65,46 @@ std::string WriteCorpus(const std::string& path, int lines) {
   return path;
 }
 
+/// Deterministic corpus that mixes clean near-duplicate lines with binary
+/// garbage: lines carrying NUL bytes, lines of high (non-ASCII, mostly
+/// invalid UTF-8) bytes, and exact repeats of both, so garbage documents
+/// join with each other as well as with clean ones.
+std::string WriteGarbageCorpus(const std::string& path, int lines) {
+  uint64_t state = 0x243f6a8885a308d3ull;
+  auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<uint32_t>(state >> 33);
+  };
+  std::vector<std::string> all;
+  all.reserve(lines);
+  for (int i = 0; i < lines; ++i) {
+    std::string line;
+    if (i >= 5 && i % 5 == 0) {
+      line = all[i - 5 + next() % 3];  // exact duplicate of a recent line
+    } else if (i % 5 == 1) {
+      // NUL-laden: tokens around embedded NUL and control bytes.
+      line = "alpha";
+      line += '\0';
+      line += "bravo \x01" "charlie delta";
+      line += '\0';
+      line += "w" + std::to_string(next() % 6);
+    } else if (i % 5 == 2) {
+      // High bytes, including lone continuation bytes and 0xff.
+      line = "caf\xe9 na\xefve \xff\xfe\x80 echo w" + std::to_string(next() % 6);
+    } else {
+      const int n = 3 + static_cast<int>(next() % 5);
+      for (int w = 0; w < n; ++w) {
+        if (w > 0) line += ' ';
+        line += "w" + std::to_string(next() % 12);
+      }
+    }
+    all.push_back(line);
+  }
+  std::ofstream out(path, std::ios::binary);
+  for (const std::string& line : all) out << line << '\n';
+  return path;
+}
+
 /// fork/execs `argv`, redirecting stdout+stderr to `output_path`.
 pid_t Spawn(const std::vector<std::string>& argv, const std::string& output_path) {
   const pid_t pid = ::fork();
@@ -162,6 +202,18 @@ class NetSmokeTest : public ::testing::Test {
 };
 
 TEST_F(NetSmokeTest, TwoWorkersMatchSingleProcess) {
+  for (const char* batch : {"--batch_size=1", "--batch_size=64"}) {
+    std::vector<std::string> reference, tcp;
+    RunBoth({batch}, &reference, &tcp);
+    if (::testing::Test::IsSkipped()) return;
+    EXPECT_EQ(tcp, reference) << batch;
+  }
+}
+
+TEST_F(NetSmokeTest, GarbageLineCorpusMatchesSingleProcess) {
+  // TCP must not lose pairs on corpora with binary garbage: records built
+  // from NUL / high-byte lines cross the wire like any other.
+  corpus_ = WriteGarbageCorpus(::testing::TempDir() + "/net_smoke_garbage.txt", 300);
   for (const char* batch : {"--batch_size=1", "--batch_size=64"}) {
     std::vector<std::string> reference, tcp;
     RunBoth({batch}, &reference, &tcp);

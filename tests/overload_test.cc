@@ -111,31 +111,82 @@ TEST(ShedPolicyTest, NamesRoundTripThroughParse) {
   EXPECT_EQ(untouched, stream::ShedPolicy::kProbe);
 }
 
+/// A deterministic flood: the joiner is stalled before its first tuple
+/// until the whole stream (plus the dispatcher's end-of-stream marker) sits
+/// in its inbound queue, so after the stall it drains a backlog no producer
+/// touches any more — every queue depth the shed policy samples is fixed.
+DistributedJoinOptions GatedFloodOptions(stream::ShedPolicy policy, size_t records) {
+  DistributedJoinOptions options = FloodedOptions(policy);
+  options.queue_capacity = records + 1;
+  options.fault_script = "stall:joiner:0@0";
+  return options;
+}
+
+/// The number of probes the joiner sheds on a gated flood of `records`
+/// tuples, replaying the executor and JoinerBolt shed state machine: pop up
+/// to batch_size envelopes, sample the depth left behind once per batch,
+/// then shed per policy (kProbe: the whole batch while depth >= watermark;
+/// kOldest: on each upward crossing, the next `depth` probes).
+uint64_t GatedFloodSheds(const DistributedJoinOptions& options, size_t records) {
+  const auto threshold = std::max<size_t>(
+      1, static_cast<size_t>(options.shed_watermark *
+                             static_cast<double>(options.queue_capacity)));
+  size_t depth = records + 1;  // data tuples + one end-of-stream marker
+  size_t data_left = records;
+  bool active = false;
+  uint64_t pending = 0;
+  uint64_t shed = 0;
+  while (data_left > 0) {
+    const size_t popped = std::min(options.batch_size, depth);
+    const size_t data = std::min(popped, data_left);
+    depth -= popped;
+    data_left -= data;
+    const bool over = depth >= threshold;
+    if (over && !active && options.shed_policy == stream::ShedPolicy::kOldest) pending += depth;
+    active = over;
+    for (size_t i = 0; i < data; ++i) {
+      if (options.shed_policy == stream::ShedPolicy::kProbe && active) {
+        ++shed;
+      } else if (options.shed_policy == stream::ShedPolicy::kOldest && pending > 0) {
+        --pending;
+        ++shed;
+      }
+    }
+  }
+  return shed;
+}
+
 TEST(OverloadControlTest, ProbeSheddingLossIsExactlyQuantified) {
   const auto stream = MakeStream(31, 3000);
-  const auto options = FloodedOptions(stream::ShedPolicy::kProbe);
+  const auto options = GatedFloodOptions(stream::ShedPolicy::kProbe, stream.size());
   const auto result = RunDistributedJoin(stream, options);
   ASSERT_TRUE(result.ok) << result.failure_message;
   EXPECT_GT(result.shed_probes, 0u) << "flood never engaged the shed policy";
   EXPECT_LT(result.shed_probes, stream.size()) << "everything was shed";
+  EXPECT_EQ(result.shed_probes, GatedFloodSheds(options, stream.size()));
   ExpectExactShedAccounting(stream, result, options.sim);
 }
 
 TEST(OverloadControlTest, OldestSheddingLossIsExactlyQuantified) {
   const auto stream = MakeStream(35, 3000);
-  const auto options = FloodedOptions(stream::ShedPolicy::kOldest);
+  const auto options = GatedFloodOptions(stream::ShedPolicy::kOldest, stream.size());
   const auto result = RunDistributedJoin(stream, options);
   ASSERT_TRUE(result.ok) << result.failure_message;
   EXPECT_GT(result.shed_probes, 0u) << "flood never engaged the shed policy";
   EXPECT_LT(result.shed_probes, stream.size()) << "everything was shed";
+  EXPECT_EQ(result.shed_probes, GatedFloodSheds(options, stream.size()));
   ExpectExactShedAccounting(stream, result, options.sim);
 }
 
 TEST(OverloadControlTest, TwiceCapacityCompletesWithBoundedLatency) {
-  // The acceptance scenario: offer 2x the measured capacity. Without
-  // shedding the queue pins at capacity and p99 grows with the backlog;
-  // with probe shedding the run completes with a lower p99 and the recall
-  // loss still matches shed_probes exactly.
+  // The acceptance scenario: offer 2x the measured capacity. Both paced
+  // runs hold the joiner until the whole stream sits in its queue (the
+  // queue is sized to take it), so the flood is fixed by the script rather
+  // than by how far the host falls behind the offered rate: without
+  // shedding every probe then waits behind the full backlog and p99 grows
+  // with it; with probe shedding the oldest probes are dropped until the
+  // backlog is under the watermark, the run completes with a lower p99, and
+  // the recall loss still matches shed_probes exactly.
   const auto stream = MakeStream(32, 2500);
   DistributedJoinOptions options = FloodedOptions(stream::ShedPolicy::kNone);
   options.queue_capacity = 64;
@@ -145,15 +196,18 @@ TEST(OverloadControlTest, TwiceCapacityCompletesWithBoundedLatency) {
   ASSERT_GT(unthrottled.throughput_rps, 0.0);
 
   options.arrival_rate_per_sec = 2.0 * unthrottled.throughput_rps;
+  options.queue_capacity = stream.size() + 1;
+  options.fault_script = "stall:joiner:0@0";
   const auto congested = RunDistributedJoin(stream, options);
   ASSERT_TRUE(congested.ok);
   EXPECT_EQ(congested.shed_probes, 0u);
 
   options.shed_policy = stream::ShedPolicy::kProbe;
-  options.shed_watermark = 0.5;
+  options.shed_watermark = 0.125;
   const auto shed = RunDistributedJoin(stream, options);
   ASSERT_TRUE(shed.ok) << shed.failure_message;
   EXPECT_GT(shed.shed_probes, 0u) << "2x offered load never triggered shedding";
+  EXPECT_EQ(shed.shed_probes, GatedFloodSheds(options, stream.size()));
   ExpectExactShedAccounting(stream, shed, options.sim);
   EXPECT_LE(shed.latency.p99_us, congested.latency.p99_us)
       << "shedding failed to bound the probe backlog";

@@ -1,8 +1,18 @@
-#include "stream/queue.h"
+// The Queue<T> contract (stream/queue.h), checked on every implementation:
+// typed tests run each single-producer case over both lock-free rings, and
+// the multi-producer cases run over the MPMC ring (the SPSC ring is only
+// ever given one producer). Ring-specific stress — wraparound, randomized
+// batch sizes, close races at scale — lives in ring_queue_test.cc.
+#include "stream/ring_queue.h"
 
+#include <algorithm>
 #include <atomic>
-#include <map>
+#include <chrono>
+#include <mutex>
+#include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,26 +20,50 @@
 namespace dssj::stream {
 namespace {
 
-TEST(BoundedQueueTest, FifoSingleThread) {
-  BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) q.Push(i);
+template <typename Q>
+class QueueContractTest : public ::testing::Test {};
+
+struct Spsc {
+  template <typename T>
+  using Of = SpscRingQueue<T>;
+};
+struct Mpmc {
+  template <typename T>
+  using Of = RingQueue<T>;
+};
+
+class QueueKindNames {
+ public:
+  template <typename Q>
+  static std::string GetName(int) {
+    return std::is_same_v<Q, Spsc> ? "Spsc" : "Mpmc";
+  }
+};
+
+using QueueKinds = ::testing::Types<Spsc, Mpmc>;
+TYPED_TEST_SUITE(QueueContractTest, QueueKinds, QueueKindNames);
+
+TYPED_TEST(QueueContractTest, FifoSingleThread) {
+  typename TypeParam::template Of<int> q(8);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(q.Push(i), static_cast<size_t>(i + 1));
   EXPECT_EQ(q.size(), 5u);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(q.Pop(), i);
   EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(BoundedQueueTest, TryPopOnEmpty) {
-  BoundedQueue<int> q(2);
+TYPED_TEST(QueueContractTest, TryPopOnEmpty) {
+  typename TypeParam::template Of<int> q(2);
   int out = -1;
   EXPECT_FALSE(q.TryPop(&out));
   q.Push(7);
   EXPECT_TRUE(q.TryPop(&out));
   EXPECT_EQ(out, 7);
+  EXPECT_FALSE(q.TryPop(&out));
 }
 
-TEST(BoundedQueueTest, PushBlocksAtCapacityUntilPop) {
-  BoundedQueue<int> q(1);
-  q.Push(1);
+TYPED_TEST(QueueContractTest, PushBlocksAtCapacityUntilPop) {
+  typename TypeParam::template Of<int> q(1);
+  EXPECT_EQ(q.Push(1), 1u);
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
     q.Push(2);
@@ -37,55 +71,180 @@ TEST(BoundedQueueTest, PushBlocksAtCapacityUntilPop) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(pushed.load()) << "push did not block at capacity";
+  EXPECT_EQ(q.size(), 1u) << "occupancy exceeded the configured capacity";
   EXPECT_EQ(q.Pop(), 1);
   producer.join();
   EXPECT_TRUE(pushed.load());
   EXPECT_EQ(q.Pop(), 2);
 }
 
-TEST(BoundedQueueTest, MpmcStressDeliversEverythingExactlyOnce) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 3;
-  constexpr int kPerProducer = 20000;
-  BoundedQueue<std::pair<int, int>> q(64);
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.Push({p, i});
-    });
-  }
-  std::mutex mu;
-  std::map<int, std::vector<int>> received;  // producer -> sequence seen
-  std::vector<std::thread> consumers;
-  std::atomic<int> remaining{kProducers * kPerProducer};
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      while (remaining.fetch_sub(1) > 0) {
-        const auto [p, i] = q.Pop();
-        std::lock_guard<std::mutex> lock(mu);
-        received[p].push_back(i);
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  for (auto& t : consumers) t.join();
-
-  size_t total = 0;
-  for (auto& [p, seqs] : received) {
-    total += seqs.size();
-    std::sort(seqs.begin(), seqs.end());
-    for (int i = 0; i < static_cast<int>(seqs.size()); ++i) {
-      ASSERT_EQ(seqs[i], i) << "producer " << p << " lost or duplicated an item";
-    }
-  }
-  EXPECT_EQ(total, static_cast<size_t>(kProducers) * kPerProducer);
+TYPED_TEST(QueueContractTest, PushBatchDrainsInputAndReportsDepth) {
+  typename TypeParam::template Of<int> q(8);
+  std::vector<int> batch{1, 2, 3};
+  EXPECT_EQ(q.PushBatch(&batch), 3u);
+  EXPECT_TRUE(batch.empty()) << "PushBatch must drain the input vector";
+  std::vector<int> more{4, 5};
+  EXPECT_EQ(q.PushBatch(&more), 5u) << "depth counts items already queued";
+  std::vector<int> none;
+  EXPECT_EQ(q.PushBatch(&none), 5u) << "an empty batch reports the current depth";
+  for (int i = 1; i <= 5; ++i) EXPECT_EQ(q.Pop(), i);
 }
 
-TEST(BoundedQueueTest, PerProducerOrderPreservedWithSingleConsumer) {
+TYPED_TEST(QueueContractTest, PushBatchLargerThanCapacityBackpressures) {
+  typename TypeParam::template Of<int> q(4);
+  constexpr int kItems = 100;
+  std::thread producer([&q] {
+    std::vector<int> batch;
+    for (int i = 0; i < kItems; ++i) batch.push_back(i);
+    q.PushBatch(&batch);  // must chunk: batch is 25x the capacity
+    EXPECT_TRUE(batch.empty());
+  });
+  for (int i = 0; i < kItems; ++i) {
+    ASSERT_LE(q.size(), 4u) << "occupancy exceeded the configured capacity";
+    ASSERT_EQ(q.Pop(), i) << "chunked batch must stay in order";
+  }
+  producer.join();
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TYPED_TEST(QueueContractTest, PopBatchRespectsMaxItemsAndOrder) {
+  typename TypeParam::template Of<int> q(16);
+  for (int i = 0; i < 10; ++i) q.Push(i);
+  std::vector<int> out;
+  EXPECT_EQ(q.PopBatch(&out, 4), 4u);
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(q.PopBatch(&out, 100), 6u) << "PopBatch takes at most what is queued";
+  EXPECT_EQ(out.size(), 10u) << "PopBatch appends to the output vector";
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(out[i], i);
+}
+
+TYPED_TEST(QueueContractTest, DrainIsNonBlockingAndEmptiesTheQueue) {
+  typename TypeParam::template Of<int> q(8);
+  std::vector<int> out;
+  EXPECT_EQ(q.Drain(&out), 0u) << "Drain on empty must not block";
+  for (int i = 0; i < 5; ++i) q.Push(i);
+  EXPECT_EQ(q.Drain(&out), 5u);
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TYPED_TEST(QueueContractTest, CloseUnblocksBlockedProducerAndKeepsAcceptedItems) {
+  typename TypeParam::template Of<int> q(1);
+  q.Push(1);
+  std::atomic<bool> returned{false};
+  std::thread producer([&] {
+    EXPECT_EQ(q.Push(2), 0u) << "Push into a closed queue must report rejection";
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load()) << "push should be blocked at capacity";
+  q.Close();
+  producer.join();
+  EXPECT_TRUE(returned.load());
+  EXPECT_TRUE(q.closed());
+  // The item accepted before Close stays poppable.
+  std::vector<int> out;
+  EXPECT_EQ(q.PopBatch(&out, 8), 1u);
+  EXPECT_EQ(out, (std::vector<int>{1}));
+  EXPECT_EQ(q.PopBatch(&out, 8), 0u) << "closed and drained: PopBatch returns 0";
+}
+
+TYPED_TEST(QueueContractTest, CloseUnblocksBlockedConsumer) {
+  typename TypeParam::template Of<int> q(4);
+  std::atomic<bool> returned{false};
+  std::thread consumer([&] {
+    std::vector<int> out;
+    EXPECT_EQ(q.PopBatch(&out, 8), 0u);
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load()) << "pop should be blocked on empty";
+  q.Close();
+  consumer.join();
+  EXPECT_TRUE(returned.load());
+}
+
+TYPED_TEST(QueueContractTest, PushBatchLeavesUnacceptedRemainder) {
+  typename TypeParam::template Of<int> q(2);
+  q.Close();
+  std::vector<int> batch{1, 2, 3};
+  EXPECT_EQ(q.PushBatch(&batch), 0u);
+  EXPECT_EQ(batch.size(), 3u) << "nothing accepted into a closed queue";
+
+  typename TypeParam::template Of<int> q2(2);
+  std::vector<int> batch2{1, 2, 3, 4, 5};
+  std::thread closer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    q2.Close();
+  });
+  EXPECT_EQ(q2.PushBatch(&batch2), 2u);  // accepts 2, blocks, then unblocks on Close
+  closer.join();
+  EXPECT_EQ(batch2, (std::vector<int>{3, 4, 5})) << "unaccepted tail must remain in order";
+  std::vector<int> out;
+  EXPECT_EQ(q2.PopBatch(&out, 8), 2u) << "accepted prefix must not be lost";
+  EXPECT_EQ(out, (std::vector<int>{1, 2}));
+  EXPECT_EQ(q2.PopBatch(&out, 8), 0u);
+}
+
+TYPED_TEST(QueueContractTest, CloseDuringChunkedPushBatchWakesLateConsumers) {
+  // Wakeup-protocol regression: a producer whose chunked PushBatch is
+  // interrupted by Close can exit with items from an earlier chunk still
+  // queued, while a consumer only starts waiting *after* Close's wake has
+  // come and gone. That consumer must still drain them, or it sleeps
+  // forever (the test then hangs and trips the ctest timeout). Many rounds
+  // to vary the interleaving of the three threads around chunk boundaries.
+  constexpr int kRounds = 400;
+  for (int round = 0; round < kRounds; ++round) {
+    typename TypeParam::template Of<int> q(2);
+    std::atomic<int> accepted{0};
+    std::thread producer([&] {
+      std::vector<int> batch{0, 1, 2, 3, 4, 5, 6};  // 3.5x capacity: must chunk
+      const size_t before = batch.size();
+      q.PushBatch(&batch);
+      accepted.store(static_cast<int>(before - batch.size()));
+    });
+    std::thread closer([&] { q.Close(); });
+    std::vector<int> popped;
+    std::thread consumer([&] {
+      std::vector<int> out;
+      while (q.PopBatch(&out, 3) > 0) {
+      }
+      popped = std::move(out);
+    });
+    producer.join();
+    closer.join();
+    consumer.join();
+    ASSERT_EQ(static_cast<int>(popped.size()), accepted.load())
+        << "round " << round << ": accepted items lost";
+    for (size_t i = 0; i < popped.size(); ++i) {
+      ASSERT_EQ(popped[i], static_cast<int>(i)) << "accepted prefix must be contiguous";
+    }
+  }
+}
+
+TYPED_TEST(QueueContractTest, HealthGaugesAreInertUntilEnabled) {
+  typename TypeParam::template Of<int> q(2);
+  q.Push(1);
+  q.Push(2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  const QueueHealth h = q.Health();
+  EXPECT_EQ(h.depth, 2u);
+  EXPECT_EQ(h.capacity, 2u);
+  EXPECT_EQ(h.depth_ewma, 0.0);
+  EXPECT_EQ(h.oldest_age_micros, 0);
+  EXPECT_EQ(h.at_capacity_stretch_micros, 0);
+  EXPECT_EQ(h.time_at_capacity_micros, 0);
+  EXPECT_FALSE(h.force_shed);
+}
+
+// ---------------------------------------------------------------------------
+// Multi-producer cases (MPMC ring only).
+// ---------------------------------------------------------------------------
+
+TEST(MpmcQueueContractTest, PerProducerOrderPreservedWithSingleConsumer) {
   constexpr int kProducers = 3;
   constexpr int kPerProducer = 10000;
-  BoundedQueue<std::pair<int, int>> q(32);
+  RingQueue<std::pair<int, int>> q(32);
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&q, p] {
@@ -101,151 +260,17 @@ TEST(BoundedQueueTest, PerProducerOrderPreservedWithSingleConsumer) {
   for (auto& t : producers) t.join();
 }
 
-TEST(BoundedQueueTest, PushBatchDrainsInputAndReportsDepth) {
-  BoundedQueue<int> q(8);
-  std::vector<int> batch{1, 2, 3};
-  EXPECT_EQ(q.PushBatch(&batch), 3u);
-  EXPECT_TRUE(batch.empty()) << "PushBatch must drain the input vector";
-  for (int i = 1; i <= 3; ++i) EXPECT_EQ(q.Pop(), i);
-}
-
-TEST(BoundedQueueTest, PushBatchLargerThanCapacityBackpressures) {
-  BoundedQueue<int> q(4);
-  constexpr int kItems = 100;
-  std::thread producer([&q] {
-    std::vector<int> batch;
-    for (int i = 0; i < kItems; ++i) batch.push_back(i);
-    q.PushBatch(&batch);  // must chunk: batch is 25x the capacity
-  });
-  for (int i = 0; i < kItems; ++i) {
-    ASSERT_EQ(q.Pop(), i) << "chunked batch must stay in order";
-  }
-  producer.join();
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(BoundedQueueTest, PopBatchRespectsMaxItemsAndOrder) {
-  BoundedQueue<int> q(16);
-  for (int i = 0; i < 10; ++i) q.Push(i);
-  std::vector<int> out;
-  EXPECT_EQ(q.PopBatch(&out, 4), 4u);
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(q.PopBatch(&out, 100), 6u) << "PopBatch takes at most what is queued";
-  EXPECT_EQ(out.size(), 10u) << "PopBatch appends to the output vector";
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(out[i], i);
-}
-
-TEST(BoundedQueueTest, DrainIsNonBlockingAndEmptiesTheQueue) {
-  BoundedQueue<int> q(8);
-  std::vector<int> out;
-  EXPECT_EQ(q.Drain(&out), 0u) << "Drain on empty must not block";
-  for (int i = 0; i < 5; ++i) q.Push(i);
-  EXPECT_EQ(q.Drain(&out), 5u);
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(BoundedQueueTest, PushBatchFromManyProducersPreservesPerProducerFifo) {
-  // The invariant the batched transport layer leans on: whatever interleaving
-  // PushBatch chunks produce across producers, each producer's own items
-  // arrive in order. Small capacity forces chunking and backpressure.
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 5000;
-  constexpr int kBatch = 7;  // deliberately not a divisor of kPerProducer
-  BoundedQueue<std::pair<int, int>> q(16);
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      std::vector<std::pair<int, int>> batch;
-      for (int i = 0; i < kPerProducer; ++i) {
-        batch.push_back({p, i});
-        if (batch.size() == kBatch) q.PushBatch(&batch);
-      }
-      q.PushBatch(&batch);  // flush the remainder
-    });
-  }
-  std::vector<int> next(kProducers, 0);
-  std::vector<std::pair<int, int>> out;
-  int received = 0;
-  while (received < kProducers * kPerProducer) {
-    out.clear();
-    q.PopBatch(&out, 32);
-    for (const auto& [p, i] : out) {
-      ASSERT_EQ(i, next[p]) << "per-producer FIFO violated under PushBatch";
-      ++next[p];
-      ++received;
-    }
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(BoundedQueueCloseTest, CloseUnblocksBlockedProducer) {
-  BoundedQueue<int> q(1);
-  q.Push(1);
-  std::atomic<bool> returned{false};
-  std::thread producer([&] {
-    EXPECT_EQ(q.Push(2), 0u) << "Push into a closed queue must report rejection";
-    returned.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(returned.load()) << "push should be blocked at capacity";
-  q.Close();
-  producer.join();
-  EXPECT_TRUE(returned.load());
-  // The item accepted before Close stays poppable.
-  std::vector<int> out;
-  EXPECT_EQ(q.PopBatch(&out, 8), 1u);
-  EXPECT_EQ(out, (std::vector<int>{1}));
-  EXPECT_EQ(q.PopBatch(&out, 8), 0u) << "closed and drained: PopBatch returns 0";
-}
-
-TEST(BoundedQueueCloseTest, CloseUnblocksBlockedConsumer) {
-  BoundedQueue<int> q(4);
-  std::atomic<bool> returned{false};
-  std::thread consumer([&] {
-    std::vector<int> out;
-    EXPECT_EQ(q.PopBatch(&out, 8), 0u);
-    returned.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(returned.load()) << "pop should be blocked on empty";
-  q.Close();
-  consumer.join();
-  EXPECT_TRUE(returned.load());
-}
-
-TEST(BoundedQueueCloseTest, PushBatchLeavesUnacceptedRemainder) {
-  BoundedQueue<int> q(2);
-  q.Close();
-  std::vector<int> batch{1, 2, 3};
-  q.PushBatch(&batch);
-  EXPECT_EQ(batch.size(), 3u) << "nothing accepted into a closed queue";
-  BoundedQueue<int> q2(2);
-  std::vector<int> batch2{1, 2, 3, 4, 5};
-  std::thread closer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q2.Close();
-  });
-  q2.PushBatch(&batch2);  // accepts 2, blocks, then unblocks on Close
-  closer.join();
-  EXPECT_EQ(batch2.size(), 3u) << "unaccepted tail must remain in the input";
-  EXPECT_EQ(batch2.front(), 3);
-  std::vector<int> out;
-  EXPECT_EQ(q2.PopBatch(&out, 8), 2u) << "accepted prefix must not be lost";
-  EXPECT_EQ(out, (std::vector<int>{1, 2}));
-}
-
-TEST(BoundedQueueCloseTest, ShutdownRaceLosesNoAcceptedItems) {
+TEST(MpmcQueueContractTest, ShutdownRaceLosesNoAcceptedBatchItems) {
   // The failed-task scenario: producers blocked in PushBatch and consumers
   // blocked in PopBatch while the queue is closed mid-flight. Every item a
-  // producer reports as accepted must be popped by exactly one consumer;
-  // both sides must unblock.
+  // producer reports as accepted must be popped by exactly one consumer,
+  // each producer's accepted items must form a contiguous prefix, and both
+  // sides must unblock.
   constexpr int kProducers = 3;
   constexpr int kConsumers = 2;
   constexpr int kRounds = 200;
   for (int round = 0; round < kRounds; ++round) {
-    BoundedQueue<std::pair<int, int>> q(4);
+    RingQueue<std::pair<int, int>> q(4);
     std::vector<int> accepted(kProducers, 0);
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; ++p) {
@@ -287,42 +312,6 @@ TEST(BoundedQueueCloseTest, ShutdownRaceLosesNoAcceptedItems) {
         ASSERT_EQ(popped[p][i], i) << "accepted prefix must be contiguous";
       }
     }
-  }
-}
-
-TEST(BoundedQueueCloseTest, CloseDuringChunkedPushBatchWakesLateConsumers) {
-  // Wakeup-protocol regression: a producer whose chunked PushBatch is
-  // interrupted by Close can exit with items from an earlier chunk still
-  // queued, while a consumer only starts waiting *after* Close's broadcast
-  // has come and gone. The producer's exit path must notify based on queue
-  // occupancy or that consumer sleeps forever (the test then hangs and
-  // trips the ctest timeout). Many rounds to vary the interleaving of the
-  // three threads around the chunk boundaries.
-  constexpr int kRounds = 400;
-  for (int round = 0; round < kRounds; ++round) {
-    BoundedQueue<int> q(2);
-    std::atomic<int> accepted{0};
-    std::thread producer([&] {
-      std::vector<int> batch{0, 1, 2, 3, 4, 5, 6};  // 3.5x capacity: must chunk
-      const size_t before = batch.size();
-      q.PushBatch(&batch);
-      accepted.store(static_cast<int>(before - batch.size()));
-    });
-    std::thread closer([&] { q.Close(); });
-    std::atomic<int> popped{0};
-    std::thread consumer([&] {
-      std::vector<int> out;
-      while (true) {
-        out.clear();
-        if (q.PopBatch(&out, 3) == 0) return;  // closed and drained
-        popped.fetch_add(static_cast<int>(out.size()));
-      }
-    });
-    producer.join();
-    closer.join();
-    consumer.join();
-    ASSERT_EQ(popped.load(), accepted.load())
-        << "round " << round << ": accepted items lost";
   }
 }
 

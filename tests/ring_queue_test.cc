@@ -16,14 +16,6 @@ namespace {
 // SpscRingQueue
 // ---------------------------------------------------------------------------
 
-TEST(SpscRingQueueTest, FifoSingleThread) {
-  SpscRingQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) q.Push(i);
-  EXPECT_EQ(q.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(q.Pop(), i);
-  EXPECT_EQ(q.size(), 0u);
-}
-
 TEST(SpscRingQueueTest, WraparoundAtTinyCapacities) {
   // Small capacities force the cursors around the ring thousands of times,
   // including the non-power-of-two capacities whose ring is rounded up.
@@ -69,44 +61,6 @@ TEST(SpscRingQueueTest, RandomizedBatchSizesPreserveOrderExactlyOnce) {
 
   ASSERT_EQ(got.size(), static_cast<size_t>(kItems));
   for (int i = 0; i < kItems; ++i) ASSERT_EQ(got[i], i) << "lost, duplicated or reordered";
-}
-
-TEST(SpscRingQueueTest, CloseWhileFullUnblocksProducerAndKeepsAcceptedItems) {
-  SpscRingQueue<int> q(1);
-  EXPECT_EQ(q.Push(1), 1u);
-  std::atomic<size_t> second_push{999};
-  std::thread producer([&] { second_push.store(q.Push(2)); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(second_push.load(), 999u) << "push did not block at capacity";
-  q.Close();
-  producer.join();
-  EXPECT_EQ(second_push.load(), 0u) << "close must reject the blocked push";
-  int out = -1;
-  EXPECT_TRUE(q.TryPop(&out));
-  EXPECT_EQ(out, 1) << "the accepted item must survive close";
-  EXPECT_FALSE(q.TryPop(&out));
-}
-
-TEST(SpscRingQueueTest, CloseWhileEmptyUnblocksConsumer) {
-  SpscRingQueue<int> q(4);
-  std::atomic<size_t> popped{999};
-  std::thread consumer([&] {
-    std::vector<int> out;
-    popped.store(q.PopBatch(&out, 8));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(popped.load(), 999u) << "pop did not block on empty";
-  q.Close();
-  consumer.join();
-  EXPECT_EQ(popped.load(), 0u);
-}
-
-TEST(SpscRingQueueTest, PushBatchOnClosedQueueLeavesRemainder) {
-  SpscRingQueue<int> q(8);
-  q.Close();
-  std::vector<int> batch = {1, 2, 3};
-  EXPECT_EQ(q.PushBatch(&batch), 0u);
-  EXPECT_EQ(batch.size(), 3u) << "closed queue must leave the unaccepted remainder";
 }
 
 TEST(SpscRingQueueTest, ShutdownRaceLosesNoAcceptedItems) {
@@ -284,78 +238,70 @@ TEST(RingQueueTest, CloseWhileEmptyRaceUnblocksAllConsumers) {
   }
 }
 
-TEST(RingQueueTest, PushBatchOnClosedQueueLeavesRemainder) {
-  RingQueue<int> q(8);
-  q.Push(1);
-  q.Close();
-  std::vector<int> batch = {2, 3};
-  EXPECT_EQ(q.PushBatch(&batch), 0u);
-  EXPECT_EQ(batch.size(), 2u);
-  int out = -1;
-  EXPECT_TRUE(q.TryPop(&out));
-  EXPECT_EQ(out, 1);
-}
-
-TEST(RingQueueTest, DrainIsNonBlockingAndEmptiesTheQueue) {
-  RingQueue<int> q(16);
-  for (int i = 0; i < 10; ++i) q.Push(i);
-  std::vector<int> out;
-  EXPECT_EQ(q.Drain(&out), 10u);
-  EXPECT_EQ(q.size(), 0u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(out[i], i);
-  out.clear();
-  EXPECT_EQ(q.Drain(&out), 0u) << "drain on empty must not block";
-}
-
 // ---------------------------------------------------------------------------
 // Shared pieces
 // ---------------------------------------------------------------------------
 
-TEST(RingQueueHealthTest, GaugesMatchTheMutexQueueSemantics) {
-  for (QueueImpl impl : {QueueImpl::kRing, QueueImpl::kMutex}) {
-    for (bool spsc : {true, false}) {
-      auto q = MakeQueue<int>(impl, 4, spsc);
-      q->EnableHealthTracking();
-      q->Push(1);
-      q->Push(2);
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      QueueHealth h = q->Health();
-      EXPECT_EQ(h.depth, 2u);
-      EXPECT_EQ(h.capacity, 4u);
-      EXPECT_GT(h.depth_ewma, 0.0);
-      EXPECT_GT(h.oldest_age_micros, 0);
-      q->Push(3);
-      q->Push(4);
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      h = q->Health();
-      EXPECT_GT(h.at_capacity_stretch_micros, 0) << "full queue must accrue capacity time";
-      int out = 0;
-      q->TryPop(&out);
-      h = q->Health();
-      EXPECT_EQ(h.depth, 3u);
-      EXPECT_GT(h.time_at_capacity_micros, 0);
-    }
+TEST(RingQueueHealthTest, GaugesTrackDepthCapacityAndAge) {
+  constexpr double kAlpha = 0.05;  // RingHealthTracker's EWMA weight
+  for (bool spsc : {true, false}) {
+    auto q = MakeQueue<int>(4, spsc);
+    q->EnableHealthTracking();
+    // The EWMA folds in the post-op depth of every push and pop.
+    double ewma = 0.0;
+    const auto fold = [&ewma](double depth) { ewma += kAlpha * (depth - ewma); };
+    q->Push(1);
+    fold(1);
+    q->Push(2);
+    fold(2);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    QueueHealth h = q->Health();
+    EXPECT_EQ(h.depth, 2u);
+    EXPECT_EQ(h.capacity, 4u);
+    EXPECT_DOUBLE_EQ(h.depth_ewma, ewma);
+    EXPECT_GE(h.oldest_age_micros, 2000) << "oldest item has waited the full sleep";
+    EXPECT_EQ(h.at_capacity_stretch_micros, 0) << "not full yet";
+    EXPECT_EQ(h.time_at_capacity_micros, 0);
+
+    q->Push(3);
+    fold(3);
+    q->Push(4);
+    fold(4);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    h = q->Health();
+    EXPECT_EQ(h.depth, 4u);
+    EXPECT_DOUBLE_EQ(h.depth_ewma, ewma);
+    EXPECT_GE(h.at_capacity_stretch_micros, 2000) << "full queue must accrue capacity time";
+    EXPECT_EQ(h.time_at_capacity_micros, h.at_capacity_stretch_micros)
+        << "the current stretch is the only one so far";
+
+    int out = 0;
+    ASSERT_TRUE(q->TryPop(&out));
+    EXPECT_EQ(out, 1);
+    fold(3);
+    h = q->Health();
+    EXPECT_EQ(h.depth, 3u);
+    EXPECT_DOUBLE_EQ(h.depth_ewma, ewma);
+    EXPECT_EQ(h.at_capacity_stretch_micros, 0) << "no longer full";
+    EXPECT_GE(h.time_at_capacity_micros, 2000) << "the closed stretch stays accounted";
+
+    std::vector<int> rest;
+    EXPECT_EQ(q->Drain(&rest), 3u);
+    fold(0);
+    h = q->Health();
+    EXPECT_EQ(h.depth, 0u);
+    EXPECT_DOUBLE_EQ(h.depth_ewma, ewma);
+    EXPECT_EQ(h.oldest_age_micros, 0) << "empty queue has no oldest item";
   }
 }
 
 TEST(MakeQueueTest, FactorySelectsTheRightImplementationPerLink) {
-  auto spsc = MakeQueue<int>(QueueImpl::kRing, 8, /*spsc_safe=*/true);
-  auto mpmc = MakeQueue<int>(QueueImpl::kRing, 8, /*spsc_safe=*/false);
-  auto mutex_q = MakeQueue<int>(QueueImpl::kMutex, 8, /*spsc_safe=*/true);
+  auto spsc = MakeQueue<int>(8, /*spsc_safe=*/true);
+  auto mpmc = MakeQueue<int>(8, /*spsc_safe=*/false);
   EXPECT_NE(dynamic_cast<SpscRingQueue<int>*>(spsc.get()), nullptr);
   EXPECT_NE(dynamic_cast<RingQueue<int>*>(mpmc.get()), nullptr);
-  EXPECT_NE(dynamic_cast<BoundedQueue<int>*>(mutex_q.get()), nullptr);
-}
-
-TEST(QueueImplNameTest, RoundTrips) {
-  QueueImpl impl = QueueImpl::kMutex;
-  EXPECT_TRUE(ParseQueueImpl("ring", &impl));
-  EXPECT_EQ(impl, QueueImpl::kRing);
-  EXPECT_EQ(QueueImplName(impl), std::string("ring"));
-  EXPECT_TRUE(ParseQueueImpl("mutex", &impl));
-  EXPECT_EQ(impl, QueueImpl::kMutex);
-  EXPECT_EQ(QueueImplName(impl), std::string("mutex"));
-  EXPECT_FALSE(ParseQueueImpl("spinlock", &impl));
+  EXPECT_EQ(spsc->capacity(), 8u);
+  EXPECT_EQ(mpmc->capacity(), 8u);
 }
 
 }  // namespace
