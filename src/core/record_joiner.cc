@@ -26,6 +26,8 @@ size_t RecordJoiner::ApproxStoredBytes(const Record& r) const {
 }
 
 void RecordJoiner::PopOldestStored() {
+  // Popping hot past a cold tier would shift every cold slot.
+  DCHECK(cold_.empty());
   approx_bytes_ -= ApproxStoredBytes(*store_.front());
   store_.pop_front();
   ++base_;
@@ -49,11 +51,12 @@ void RecordJoiner::PopOldestOverall() {
 
 void RecordJoiner::Evict(int64_t now) {
   if (window_.kind != WindowSpec::Kind::kTime) return;
-  // Cold stubs are strictly older than every hot record, so if the cold
-  // front survives, the hot loop is a no-op.
+  // Cold records are strictly older than every hot one, and a hot record
+  // may only go once the cold tier is empty (see PopOldestStored).
   while (!cold_.empty() && window_.ExpiredByTime(cold_.front().timestamp, now)) {
     PopOldestCold();
   }
+  if (!cold_.empty()) return;
   while (!store_.empty() && window_.ExpiredByTime(store_.front()->timestamp, now)) {
     PopOldestStored();
   }
@@ -87,31 +90,43 @@ std::vector<TokenId> RecordJoiner::IndexablePrefix(const Record& r) const {
   return prefix;
 }
 
-bool RecordJoiner::SpillOldestHot() {
-  if (spill_ == nullptr || store_.size() <= 1) return false;
-  const RecordPtr r = store_.front();
+bool RecordJoiner::AppendCold(const Record& r) {
   std::string payload;
   BinaryWriter w(&payload);
-  WriteRecordTo(*r, &w);
+  WriteRecordTo(r, &w);
   store::SpillHandle handle;
   if (!spill_->Append(payload, &handle).ok()) return false;
   ColdStub stub;
-  stub.id = r->id;
-  stub.seq = r->seq;
-  stub.timestamp = r->timestamp;
-  stub.size = static_cast<uint32_t>(r->size());
-  stub.prefix = IndexablePrefix(*r);
+  stub.id = r.id;
+  stub.seq = r.seq;
+  stub.timestamp = r.timestamp;
+  stub.size = static_cast<uint32_t>(r.size());
+  stub.prefix = IndexablePrefix(r);
   stub.handle = handle;
   cold_.push_back(std::move(stub));
   ++cold_appended_total_;
   ++stats_.spilled_records;
   stats_.spilled_bytes += payload.size();
-  // Leaves the window (it is still *in* the window, just cold), so no
-  // eviction is counted and the horizon does not move.
-  approx_bytes_ -= ApproxStoredBytes(*r);
+  return true;
+}
+
+bool RecordJoiner::SpillOldestHot() {
+  if (spill_ == nullptr || store_.size() <= 1 || !AppendCold(*store_.front())) return false;
+  // The record stays in the window and keeps its slot (the newest cold
+  // slot is base_ - 1) and its postings, so no eviction is counted and
+  // the horizon does not move.
+  approx_bytes_ -= ApproxStoredBytes(*store_.front());
   store_.pop_front();
   ++base_;
   return true;
+}
+
+Status RecordJoiner::ReadCold(const ColdStub& stub, RecordPtr* out) const {
+  std::string payload;
+  DSSJ_RETURN_IF_ERROR(spill_->Read(stub.handle, &payload));
+  BinaryReader br(payload);
+  *out = ReadRecordFrom(&br);
+  return Status::OK();
 }
 
 namespace {
@@ -140,69 +155,19 @@ TokenId MinCommonPrefixToken(const SimilaritySpec& sim, const Record& a, const R
 
 }  // namespace
 
-void RecordJoiner::ProbeCold(const Record& r, const ResultCallback& cb) {
-  if (cold_.empty()) return;
-  const size_t lo = sim_.LengthLowerBound(r.size());
-  const size_t hi = sim_.LengthUpperBound(r.size());
-  const std::vector<TokenId> probe_prefix = IndexablePrefix(r);
-  if (probe_prefix.empty()) return;
-  // Oldest stub first: deterministic emission order that a restore
-  // reproduces (the cold deque round-trips in order).
-  for (const ColdStub& stub : cold_) {
-    if (stub.size < lo || stub.size > hi) {
-      ++stats_.length_filtered;
-      continue;
-    }
-    // Prefix filter, mirroring index candidacy: a qualifying pair shares
-    // an indexable token between the two prefixes. Both sides are sorted.
-    size_t i = 0, j = 0;
-    bool common = false;
-    while (i < probe_prefix.size() && j < stub.prefix.size()) {
-      if (probe_prefix[i] == stub.prefix[j]) {
-        common = true;
-        break;
-      }
-      if (probe_prefix[i] < stub.prefix[j]) {
-        ++i;
-      } else {
-        ++j;
-      }
-    }
-    if (!common) continue;
-    ++stats_.candidates;
-    ++stats_.spill_reads;
-    std::string payload;
-    if (!spill_->Read(stub.handle, &payload).ok()) {
-      // A corrupt frame costs recall for this stub only; never a crash.
-      ++stats_.spill_read_errors;
-      continue;
-    }
-    BinaryReader br(payload);
-    const RecordPtr s = ReadRecordFrom(&br);
-    const size_t alpha = sim_.MinOverlap(r.size(), s->size());
-    const size_t o = VerifyOverlap(r.tokens, s->tokens, alpha, &stats_.verify);
-    if (o < alpha) continue;
-    if (options_.dedup_by_min_prefix_token) {
-      const TokenId w = MinCommonPrefixToken(sim_, r, *s);
-      if (w == kNoCommonToken || !options_.token_filter(w)) continue;
-    }
-    ++stats_.results;
-    cb(ResultPair{r.id, r.seq, s->id, s->seq});
-  }
-}
-
 void RecordJoiner::Probe(const Record& r, const ResultCallback& cb) {
   ++stats_.probes;
   const size_t prefix_len = sim_.PrefixLength(r.size());
   if (prefix_len == 0) return;
-  ProbeCold(r, cb);
   const size_t lo = sim_.LengthLowerBound(r.size());
   const size_t hi = sim_.LengthUpperBound(r.size());
+  const size_t cold_n = cold_.size();
+  const uint64_t first = base_ - cold_n;
 
   ++probe_stamp_;
-  if (cand_overlap_.size() < store_.size()) {
-    cand_overlap_.resize(store_.size());
-    cand_stamp_.resize(store_.size(), 0);
+  if (cand_overlap_.size() < cold_n + store_.size()) {
+    cand_overlap_.resize(cold_n + store_.size());
+    cand_stamp_.resize(cold_n + store_.size(), 0);
   }
   cand_order_.clear();
   // Memoize MinOverlap per eligible partner length: it is asked for a few
@@ -220,8 +185,8 @@ void RecordJoiner::Probe(const Record& r, const ResultCallback& cb) {
     return slot;
   };
 
-  // Candidate generation over the probe prefix's posting lists. Dead
-  // postings are compacted away in passing.
+  // Candidate generation over the probe prefix's posting lists, cold and
+  // hot slots alike. Dead postings are compacted away in passing.
   for (size_t i = 0; i < prefix_len; ++i) {
     const TokenId w = r.tokens[i];
     if (options_.token_filter != nullptr && !options_.token_filter(w)) continue;
@@ -238,7 +203,7 @@ void RecordJoiner::Probe(const Record& r, const ResultCallback& cb) {
     size_t write = 0;
     for (size_t read = 0; read < list.size(); ++read) {
       const Posting p = list[read];
-      if (!Alive(p.local_id)) {
+      if (p.local_id < first) {
         ++stats_.dead_postings_purged;
         continue;
       }
@@ -249,7 +214,7 @@ void RecordJoiner::Probe(const Record& r, const ResultCallback& cb) {
         ++stats_.length_filtered;
         continue;
       }
-      const size_t slot = static_cast<size_t>(p.local_id - base_);
+      const size_t slot = static_cast<size_t>(p.local_id - first);
       int32_t& ov = cand_overlap_[slot];
       if (cand_stamp_[slot] != probe_stamp_) {
         cand_stamp_[slot] = probe_stamp_;
@@ -272,12 +237,25 @@ void RecordJoiner::Probe(const Record& r, const ResultCallback& cb) {
     list.resize(write);
   }
 
-  // Verification.
+  // Verification. Only a cold candidate that survived the filters costs
+  // a spill read.
+  RecordPtr cold;
   for (const uint64_t lid : cand_order_) {
-    const int32_t ov = cand_overlap_[static_cast<size_t>(lid - base_)];
-    if (ov < 0) continue;
-    const RecordPtr& s = StoredAt(lid);
+    const size_t slot = static_cast<size_t>(lid - first);
+    if (cand_overlap_[slot] < 0) continue;
     ++stats_.candidates;
+    const Record* s;
+    if (lid < base_) {
+      ++stats_.spill_reads;
+      if (!ReadCold(cold_[slot], &cold).ok()) {
+        // A corrupt frame costs recall for this record only; never a crash.
+        ++stats_.spill_read_errors;
+        continue;
+      }
+      s = cold.get();
+    } else {
+      s = store_[slot - cold_n].get();
+    }
     const size_t alpha = alpha_for(s->size());
     if (options_.suffix_filter) {
       // overlap = (|r| + |s| − |r △ s|) / 2, so overlap >= alpha requires
@@ -319,29 +297,55 @@ void RecordJoiner::Store(const RecordPtr& r) {
 }
 
 void RecordJoiner::AppendStored(const RecordPtr& r) {
-  const uint64_t local_id = base_ + store_.size();
+  PushHot(r);
+  PostRecord(base_ + store_.size() - 1, *r);
+}
+
+void RecordJoiner::PushHot(const RecordPtr& r) {
   store_.push_back(r);
   approx_bytes_ += ApproxStoredBytes(*r);
-  const size_t prefix_len = sim_.PrefixLength(r->size());
-  for (size_t i = 0; i < prefix_len; ++i) {
-    const TokenId w = r->tokens[i];
-    if (options_.token_filter != nullptr && !options_.token_filter(w)) continue;
-    std::vector<Posting>* list;
-    if (options_.direct_index) {
-      if (w >= dense_index_.size()) {
-        dense_index_.resize(
-            std::max<size_t>(w + 1, dense_index_.size() + dense_index_.size() / 2));
-      }
-      list = &dense_index_[w];
-    } else {
-      list = &sparse_index_[w];
+}
+
+void RecordJoiner::AddPosting(TokenId w, const Posting& p) {
+  std::vector<Posting>* list;
+  if (options_.direct_index) {
+    if (w >= dense_index_.size()) {
+      dense_index_.resize(std::max<size_t>(w + 1, dense_index_.size() + dense_index_.size() / 2));
     }
-    // One allocation per list instead of the 1->2->4 growth chain: most
-    // lists stay short (Zipf tail), and malloc dominates Store otherwise.
-    if (list->capacity() == 0) list->reserve(4);
-    list->push_back(
-        Posting{local_id, static_cast<uint32_t>(i), static_cast<uint32_t>(r->size())});
+    list = &dense_index_[w];
+  } else {
+    list = &sparse_index_[w];
   }
+  // One allocation per list instead of the 1->2->4 growth chain: most
+  // lists stay short (Zipf tail), and malloc dominates Store otherwise.
+  if (list->capacity() == 0) list->reserve(4);
+  list->push_back(p);
+}
+
+void RecordJoiner::PostRecord(uint64_t slot, const Record& r) {
+  const size_t prefix_len = sim_.PrefixLength(r.size());
+  for (size_t i = 0; i < prefix_len; ++i) {
+    const TokenId w = r.tokens[i];
+    if (options_.token_filter != nullptr && !options_.token_filter(w)) continue;
+    AddPosting(w, Posting{slot, static_cast<uint32_t>(i), static_cast<uint32_t>(r.size())});
+  }
+}
+
+void RecordJoiner::Reindex() {
+  CHECK_GE(base_, cold_.size()) << "cold tier larger than the slots before base";
+  dense_index_.clear();
+  sparse_index_.clear();
+  uint64_t slot = FirstSlot();
+  for (const ColdStub& stub : cold_) {
+    // The stub keeps only the filtered prefix. Without a token filter
+    // its j-th token sits at record position j; with one the positional
+    // filter is off, so the position is never read.
+    for (size_t j = 0; j < stub.prefix.size(); ++j) {
+      AddPosting(stub.prefix[j], Posting{slot, static_cast<uint32_t>(j), stub.size});
+    }
+    ++slot;
+  }
+  for (const RecordPtr& r : store_) PostRecord(slot++, *r);
 }
 
 void RecordJoiner::Process(const RecordPtr& r, bool store, bool probe,
@@ -486,10 +490,7 @@ store::FrozenBlob RecordJoiner::FreezeDelta() {
 
 void RecordJoiner::Restore(const std::string& blob) {
   store_.clear();
-  base_ = 0;
   approx_bytes_ = 0;
-  dense_index_.clear();
-  sparse_index_.clear();
   cand_overlap_.clear();
   cand_stamp_.clear();
   probe_stamp_ = 0;
@@ -504,30 +505,13 @@ void RecordJoiner::Restore(const std::string& blob) {
   const uint64_t cold_n = r.ReadU64();
   for (uint64_t i = 0; i < cold_n; ++i) {
     if (tag == kTagSelfContained) {
+      // Rebuild the cold tier exactly: re-append to fresh segments so the
+      // hot/cold split round-trips. With no spill attached (or once an
+      // append fails) the remaining cold records become the oldest hot
+      // entries, preserving window order.
       const RecordPtr rec = ReadRecordFrom(&r);
-      if (spill_ != nullptr) {
-        // Rebuild the cold tier exactly: re-append to fresh segments so
-        // the hot/cold split — and thus probe order — round-trips.
-        std::string payload;
-        BinaryWriter pw(&payload);
-        WriteRecordTo(*rec, &pw);
-        store::SpillHandle handle;
-        if (spill_->Append(payload, &handle).ok()) {
-          ColdStub stub;
-          stub.id = rec->id;
-          stub.seq = rec->seq;
-          stub.timestamp = rec->timestamp;
-          stub.size = static_cast<uint32_t>(rec->size());
-          stub.prefix = IndexablePrefix(*rec);
-          stub.handle = handle;
-          cold_.push_back(std::move(stub));
-          ++cold_appended_total_;
-          continue;
-        }
-      }
-      // No spill attached (or it failed): the cold records become the
-      // oldest hot entries, preserving window order.
-      AppendStored(rec);
+      if (spill_ != nullptr && store_.empty() && AppendCold(*rec)) continue;
+      PushHot(rec);
     } else {
       ColdStub stub = ReadStubFrom(&r);
       // A stub whose frame did not survive (torn segment truncated away)
@@ -541,7 +525,9 @@ void RecordJoiner::Restore(const std::string& blob) {
     }
   }
   const uint64_t hot_n = r.ReadU64();
-  for (uint64_t i = 0; i < hot_n; ++i) AppendStored(ReadRecordFrom(&r));
+  for (uint64_t i = 0; i < hot_n; ++i) PushHot(ReadRecordFrom(&r));
+  base_ = cold_.size();
+  Reindex();
   ReadJoinerStats(&r, &stats_);
   stats_.spill_read_errors += dropped_stubs;
   MarkFrozen();
@@ -554,15 +540,20 @@ void RecordJoiner::RestoreDelta(const std::string& blob) {
   const uint64_t hot_pops = r.ReadU64();
   const uint64_t cold_pops = r.ReadU64();
   // Pops beyond what this replica materialized refer to entries appended
-  // and popped within the interval — they never existed here, so only
-  // base_ needs to advance for the hot ones (slot ids must line up with
-  // the live run's append numbering).
+  // and popped within the interval — they never existed here. Hot pops
+  // include records the live joiner spilled in place (they come back as
+  // the delta's cold stubs), so the window is composed first and the
+  // index rebuilt from it in slot order, the order the live joiner's
+  // posting lists hold.
   for (uint64_t i = 0; i < cold_pops && !cold_.empty(); ++i) PopOldestCold();
   const uint64_t hot_k = std::min<uint64_t>(hot_pops, store_.size());
-  for (uint64_t i = 0; i < hot_k; ++i) PopOldestStored();
-  base_ += hot_pops - hot_k;
+  for (uint64_t i = 0; i < hot_k; ++i) {
+    approx_bytes_ -= ApproxStoredBytes(*store_.front());
+    store_.pop_front();
+  }
+  base_ += hot_pops;
   const uint64_t hot_n = r.ReadU64();
-  for (uint64_t i = 0; i < hot_n; ++i) AppendStored(ReadRecordFrom(&r));
+  for (uint64_t i = 0; i < hot_n; ++i) PushHot(ReadRecordFrom(&r));
   uint64_t dropped_stubs = 0;
   const uint64_t cold_n = r.ReadU64();
   for (uint64_t i = 0; i < cold_n; ++i) {
@@ -574,6 +565,7 @@ void RecordJoiner::RestoreDelta(const std::string& blob) {
     cold_.push_back(std::move(stub));
     ++cold_appended_total_;
   }
+  Reindex();
   ReadJoinerStats(&r, &stats_);
   stats_.spill_read_errors += dropped_stubs;
   MarkFrozen();

@@ -62,6 +62,11 @@ struct RecordJoinerOptions {
 ///
 /// Expired records are dropped from the window eagerly and purged from
 /// posting lists lazily (compacted in place whenever a list is scanned).
+///
+/// With a spill store attached, the oldest records past the watermark move
+/// to disk but stay in the window and in the index: cold and hot records
+/// share one slot numbering, and only verification of a cold candidate
+/// reads its record back.
 class RecordJoiner : public LocalJoiner {
  public:
   RecordJoiner(const SimilaritySpec& sim, const WindowSpec& window,
@@ -110,22 +115,19 @@ class RecordJoiner : public LocalJoiner {
 
  private:
   struct Posting {
-    uint64_t local_id;  ///< store slot; dead iff < base_
+    uint64_t local_id;  ///< window slot; dead iff < FirstSlot()
     uint32_t position;  ///< token position within the stored record
     uint32_t size;      ///< stored record's token count, denormalized so the
                         ///< candidate scan length-filters without touching
                         ///< the record store (fits the former padding)
   };
 
-  struct Candidate {
-    uint64_t local_id;
-    int32_t overlap_in_prefix;  ///< matches seen during prefix scan; -1 = pruned
-  };
-
-  /// In-memory remnant of a spilled record: just enough to run the length
-  /// and prefix filters (so most probes never touch disk) plus the handle
-  /// to read the full record back when a probe survives them. Cold
-  /// records are all strictly older than every hot record.
+  /// In-memory remnant of a spilled record. Its postings stay in the
+  /// index under its window slot, so the length, prefix and positional
+  /// filters run on it like on a hot record; the handle reads the full
+  /// record back when a candidate survives them. `prefix` is what the
+  /// checkpoint blobs carry to re-post it on restore. Cold records are all
+  /// strictly older than every hot record.
   struct ColdStub {
     uint64_t id = 0;
     uint64_t seq = 0;
@@ -135,24 +137,35 @@ class RecordJoiner : public LocalJoiner {
     store::SpillHandle handle;
   };
 
-  bool Alive(uint64_t local_id) const { return local_id >= base_; }
-  const RecordPtr& StoredAt(uint64_t local_id) const {
-    return store_[static_cast<size_t>(local_id - base_)];
-  }
+  /// Slot of the oldest window entry. Cold slots are
+  /// [FirstSlot(), base_), hot slots start at base_.
+  uint64_t FirstSlot() const { return base_ - cold_.size(); }
+  bool Alive(uint64_t local_id) const { return local_id >= FirstSlot(); }
 
   void Evict(int64_t now);
   void Probe(const Record& r, const ResultCallback& cb);
   void Store(const RecordPtr& r);
-  /// Cold-tier probe scan: runs before the hot index probe, oldest stub
-  /// first, so emission order is deterministic and restore-stable.
-  void ProbeCold(const Record& r, const ResultCallback& cb);
   /// Appends + indexes a record without any eviction/spill side effects
-  /// (Store's tail; also the restore and delta-replay primitive).
+  /// (Store's tail).
   void AppendStored(const RecordPtr& r);
+  /// Appends a hot record to the window without indexing it (restore
+  /// composes the window first, then Reindex()es it).
+  void PushHot(const RecordPtr& r);
+  void AddPosting(TokenId w, const Posting& p);
+  /// Posts the indexable prefix of a hot record under `slot`.
+  void PostRecord(uint64_t slot, const Record& r);
+  /// Rebuilds the index from the window, oldest slot first, which is the
+  /// posting order the live joiner built (spilling moves no posting).
+  void Reindex();
+  /// Writes a record to the spill tier and appends its stub to cold_
+  /// (no slot or index change). False when the segment append failed.
+  bool AppendCold(const Record& r);
+  /// Reads a cold record back from the spill tier.
+  Status ReadCold(const ColdStub& stub, RecordPtr* out) const;
   /// Moves the oldest hot record to the spill tier (it stays in the
-  /// window as a ColdStub). Returns false when spilling is off, the hot
-  /// store is down to one record, or the segment append failed (the
-  /// caller falls back to budget eviction).
+  /// window and the index as a ColdStub). Returns false when spilling is
+  /// off, the hot store is down to one record, or the segment append
+  /// failed (the caller falls back to budget eviction).
   bool SpillOldestHot();
   /// Drops the oldest cold stub, releasing its segment frame.
   void PopOldestCold();
@@ -179,10 +192,14 @@ class RecordJoiner : public LocalJoiner {
   WindowSpec window_;
   RecordJoinerOptions options_;
 
-  // Window of stored records, FIFO. Slot of store_[i] is base_ + i.
+  // Hot window, FIFO. Slot of store_[i] is base_ + i; slot of cold_[i] is
+  // FirstSlot() + i.
   std::deque<RecordPtr> store_;
   uint64_t base_ = 0;
-  size_t approx_bytes_ = 0;  ///< Σ ApproxStoredBytes over the *hot* window
+  /// Σ ApproxStoredBytes over the *hot* window. Cold records' postings
+  /// stay in the index but are not counted: the budget meters what
+  /// spilling can still relieve.
+  size_t approx_bytes_ = 0;
 
   // Cold tier: stubs of spilled records, FIFO and strictly older than
   // every hot record. Monotonic append/pop totals back the delta
@@ -208,9 +225,9 @@ class RecordJoiner : public LocalJoiner {
   std::unordered_map<TokenId, std::vector<Posting>> sparse_index_;
 
   // Scratch for candidate accumulation, reused across probes. Candidates
-  // are addressed by store slot (local_id - base_, stable for the duration
-  // of one probe): cand_overlap_[slot] is the accumulated prefix overlap,
-  // valid only when cand_stamp_[slot] == probe_stamp_. Stamping makes
+  // are addressed by window offset (local_id - FirstSlot(), stable for the
+  // duration of one probe): cand_overlap_[i] is the accumulated prefix overlap,
+  // valid only when cand_stamp_[i] == probe_stamp_. Stamping makes
   // per-probe reset O(1) instead of hashing every posting.
   std::vector<int32_t> cand_overlap_;
   std::vector<uint64_t> cand_stamp_;

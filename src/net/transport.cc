@@ -351,6 +351,10 @@ bool TcpTransport::SendControl(int rank, const stream::ControlFrame& frame) {
     case stream::ControlKind::kAck:
       AppendAckFrame(frame.migration_id, frame.task_id, worker, &out.bytes);
       break;
+    case stream::ControlKind::kFinish:
+      // The run-over signal travels as rank 0's DONE frame; the wire has
+      // no control frame for it.
+      return false;
   }
   return GetSender(rank)->queue->Push(std::move(out)) != 0;
 }

@@ -79,6 +79,12 @@ size_t AppendSegmentFrame(const std::string& payload, std::string* out) {
   return payload.size();
 }
 
+size_t SegmentFrameBytes(size_t payload_len) {
+  size_t varint_bytes = 1;
+  for (uint64_t v = payload_len; v >= 0x80; v >>= 7) ++varint_bytes;
+  return sizeof(kSegmentMagic) + sizeof(uint64_t) + varint_bytes + payload_len;
+}
+
 Status ReadSegmentFrame(const void* data, size_t size, size_t offset, std::string* payload,
                         size_t* frame_end) {
   if (offset > size) return Status::OutOfRange("segment frame: offset past end");
@@ -175,18 +181,6 @@ Status ReadFileToString(const std::string& path, std::string* out) {
   const bool err = std::ferror(f) != 0;
   std::fclose(f);
   if (err) return Status::Internal("read error on " + path);
-  return Status::OK();
-}
-
-Status AppendToFile(const std::string& path, const std::string& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) return Status::Internal("cannot open " + path + " for append");
-  const size_t written = bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (written != bytes.size() || !flushed) {
-    return Status::Internal("short append to " + path);
-  }
   return Status::OK();
 }
 

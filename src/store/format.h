@@ -41,6 +41,11 @@ Status DecodeCheckpointFile(const void* data, size_t size, CheckpointKind* kind,
 /// `out`, returning the payload length for the caller's handle bookkeeping.
 size_t AppendSegmentFrame(const std::string& payload, std::string* out);
 
+/// Size of the segment frame AppendSegmentFrame writes for a payload of
+/// `payload_len` bytes (header + payload), so a reader can fetch one
+/// frame in a single read.
+size_t SegmentFrameBytes(size_t payload_len);
+
 /// Reads the segment frame starting at `offset` within a segment file
 /// image. On OK fills `payload` and sets `frame_end` to the offset just
 /// past the frame (for sequential scans).
@@ -62,8 +67,6 @@ bool ParseStoreFileName(const std::string& name, int* kind, uint64_t* id);
 /// name (torn writes are still detected by the checksums above).
 Status WriteFileAtomic(const std::string& path, const std::string& bytes);
 Status ReadFileToString(const std::string& path, std::string* out);
-/// Appends `bytes` to `path`, creating it if missing.
-Status AppendToFile(const std::string& path, const std::string& bytes);
 
 /// Lists the store files in `dir` (file names only, foreign files
 /// skipped). Missing directory yields an empty list and OK.

@@ -1,6 +1,11 @@
 #include "store/spill.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 
 #include "common/logging.h"
 #include "store/format.h"
@@ -22,9 +27,13 @@ Status SpillStore::Open(const std::string& dir, size_t segment_bytes, GcPolicy g
     const uint32_t seg_id = static_cast<uint32_t>(id);
     any = true;
     max_id = std::max(max_id, seg_id);
+    const std::string path = dir + "/" + name;
+    // In the map before anything can fail, so the destructor closes the fd.
+    Segment& seg = store->segments_[seg_id];
+    seg.fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
+    if (seg.fd < 0) return Status::Internal("cannot open " + path + ": " + std::strerror(errno));
     std::string bytes;
-    DSSJ_RETURN_IF_ERROR(ReadFileToString(dir + "/" + name, &bytes));
-    Segment seg;
+    DSSJ_RETURN_IF_ERROR(ReadFileToString(path, &bytes));
     // Walk frames until the first corrupt one; everything after a torn
     // frame is unreachable (appends are strictly sequential), so the
     // file is truncated to the last intact frame boundary.
@@ -43,57 +52,76 @@ Status SpillStore::Open(const std::string& dir, size_t segment_bytes, GcPolicy g
       ++seg.unclaimed;
       offset = frame_end;
     }
-    if (offset < bytes.size()) {
-      bytes.resize(offset);
-      DSSJ_RETURN_IF_ERROR(WriteFileAtomic(dir + "/" + name, bytes));
+    if (offset < bytes.size() && ::ftruncate(seg.fd, static_cast<off_t>(offset)) != 0) {
+      return Status::Internal("cannot truncate " + path + ": " + std::strerror(errno));
     }
     seg.file_bytes = offset;
     seg.sealed = true;  // a new incarnation never appends to inherited segments
-    if (seg.unclaimed == 0) {
-      DSSJ_RETURN_IF_ERROR(RemoveFile(dir + "/" + name));
-      continue;
-    }
-    store->segments_.emplace(seg_id, std::move(seg));
+    if (seg.unclaimed == 0) DSSJ_RETURN_IF_ERROR(store->DeleteSegment(seg_id));
   }
   store->active_ = any ? max_id + 1 : 0;
   *out = std::move(store);
   return Status::OK();
 }
 
+SpillStore::~SpillStore() {
+  for (const auto& [id, seg] : segments_) {
+    if (seg.fd >= 0) ::close(seg.fd);
+  }
+}
+
 std::string SpillStore::SegmentPath(uint32_t id) const {
   return dir_ + "/" + SegmentFileName(id);
 }
 
+void SpillStore::SealActive(Segment* seg) {
+  seg->sealed = true;
+  MaybeRetire(active_, seg);
+  ++active_;
+}
+
 Status SpillStore::Append(const std::string& payload, SpillHandle* handle) {
-  Segment& seg = segments_[active_];
-  if (seg.file_bytes >= segment_bytes_ && seg.file_bytes > 0) {
-    seg.sealed = true;
-    MaybeRetire(active_, &seg);
-    ++active_;
-    return Append(payload, handle);
+  Segment* seg = &segments_[active_];
+  if (seg->file_bytes >= segment_bytes_ && seg->file_bytes > 0) {
+    SealActive(seg);
+    seg = &segments_[active_];
   }
-  std::string frame;
-  AppendSegmentFrame(payload, &frame);
-  Segment& active_seg = segments_[active_];
-  const uint64_t offset = active_seg.file_bytes;
-  DSSJ_RETURN_IF_ERROR(AppendToFile(SegmentPath(active_), frame));
-  active_seg.file_bytes += frame.size();
-  ++active_seg.live;
-  live_bytes_ += payload.size();
+  if (seg->fd < 0) {
+    const std::string path = SegmentPath(active_);
+    seg->fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC, 0644);
+    if (seg->fd < 0) {
+      return Status::Internal("cannot open " + path + ": " + std::strerror(errno));
+    }
+  }
+  frame_.clear();
+  AppendSegmentFrame(payload, &frame_);
+  const ssize_t written = ::write(seg->fd, frame_.data(), frame_.size());
+  if (written != static_cast<ssize_t>(frame_.size())) {
+    // A partial frame may sit at the tail now; no later append may land
+    // behind it (reopening truncates it away).
+    const std::string path = SegmentPath(active_);
+    if (written > 0) SealActive(seg);
+    return Status::Internal("short append to " + path);
+  }
   handle->segment = active_;
-  handle->offset = offset;
+  handle->offset = seg->file_bytes;
   handle->length = static_cast<uint32_t>(payload.size());
+  seg->file_bytes += frame_.size();
+  ++seg->live;
+  live_bytes_ += payload.size();
   return Status::OK();
 }
 
 Status SpillStore::Read(const SpillHandle& handle, std::string* payload) const {
   auto it = segments_.find(handle.segment);
-  if (it == segments_.end()) {
+  if (it == segments_.end() || it->second.fd < 0) {
     return Status::NotFound("spill segment missing");
   }
-  std::string bytes;
-  DSSJ_RETURN_IF_ERROR(ReadFileToString(SegmentPath(handle.segment), &bytes));
-  DSSJ_RETURN_IF_ERROR(ReadSegmentFrame(bytes.data(), bytes.size(), handle.offset, payload,
+  std::string frame(SegmentFrameBytes(handle.length), '\0');
+  const ssize_t got =
+      ::pread(it->second.fd, frame.data(), frame.size(), static_cast<off_t>(handle.offset));
+  if (got < 0) return Status::Internal(std::string("spill read: ") + std::strerror(errno));
+  DSSJ_RETURN_IF_ERROR(ReadSegmentFrame(frame.data(), static_cast<size_t>(got), 0, payload,
                                         /*frame_end=*/nullptr));
   if (payload->size() != handle.length) {
     return Status::InvalidArgument("spill frame length disagrees with handle");
@@ -114,11 +142,23 @@ void SpillStore::Release(const SpillHandle& handle) {
 void SpillStore::MaybeRetire(uint32_t id, Segment* seg) {
   if (!seg->sealed || seg->live != 0 || seg->unclaimed != 0 || seg->retired_at != 0) return;
   seg->retired_at = retire_seq_++;
+  // Nothing live reads a retired segment; only an older base checkpoint
+  // may still name its file.
+  if (seg->fd >= 0) ::close(seg->fd);
+  seg->fd = -1;
   if (gc_ == GcPolicy::kImmediate) {
-    const Status st = RemoveFile(SegmentPath(id));
+    const Status st = DeleteSegment(id);
     if (!st.ok()) LOG(WARNING) << "spill gc: " << st.ToString();
-    segments_.erase(id);
   }
+}
+
+Status SpillStore::DeleteSegment(uint32_t id) {
+  auto it = segments_.find(id);
+  if (it != segments_.end()) {
+    if (it->second.fd >= 0) ::close(it->second.fd);
+    segments_.erase(it);
+  }
+  return RemoveFile(SegmentPath(id));
 }
 
 bool SpillStore::Reref(const SpillHandle& handle) {
@@ -148,10 +188,7 @@ Status SpillStore::PurgeUnclaimed() {
       dead.push_back(id);
     }
   }
-  for (uint32_t id : dead) {
-    DSSJ_RETURN_IF_ERROR(RemoveFile(SegmentPath(id)));
-    segments_.erase(id);
-  }
+  for (uint32_t id : dead) DSSJ_RETURN_IF_ERROR(DeleteSegment(id));
   return Status::OK();
 }
 
@@ -160,10 +197,7 @@ Status SpillStore::DeleteRetiredBefore(uint64_t mark) {
   for (const auto& [id, seg] : segments_) {
     if (seg.retired_at != 0 && seg.retired_at < mark) dead.push_back(id);
   }
-  for (uint32_t id : dead) {
-    DSSJ_RETURN_IF_ERROR(RemoveFile(SegmentPath(id)));
-    segments_.erase(id);
-  }
+  for (uint32_t id : dead) DSSJ_RETURN_IF_ERROR(DeleteSegment(id));
   return Status::OK();
 }
 

@@ -27,6 +27,11 @@ struct SpillHandle {
 /// entirely by the task thread (reads on probe, appends on store); the
 /// checkpoint service never touches it.
 ///
+/// Each segment file is opened once and its descriptor kept until the
+/// segment retires or is deleted (or the store is destroyed): an append
+/// is one write(2) of the frame, a read one pread(2) of header + payload.
+/// Appends are not fsync'd.
+///
 /// GC discipline: Release() drops a frame's liveness; a sealed segment
 /// whose frames are all dead is *retired* (tracked, file kept) rather
 /// than deleted, because an async base checkpoint written earlier may
@@ -46,6 +51,10 @@ class SpillStore {
   /// afterwards deletes the rest.
   static Status Open(const std::string& dir, size_t segment_bytes, GcPolicy gc,
                      std::unique_ptr<SpillStore>* out);
+
+  ~SpillStore();
+  SpillStore(const SpillStore&) = delete;
+  SpillStore& operator=(const SpillStore&) = delete;
 
   /// Appends one frame to the active segment (rotating first if the
   /// active segment is at or past the size limit) and returns its handle.
@@ -86,6 +95,7 @@ class SpillStore {
     uint64_t unclaimed = 0;    // intact frames awaiting Reref after Open
     bool sealed = false;       // rotation happened; no more appends
     uint64_t retired_at = 0;   // retire_seq_ value when retired (0 = live)
+    int fd = -1;               // open until retired or deleted
     std::vector<SpillHandle> unclaimed_frames;
   };
 
@@ -94,6 +104,10 @@ class SpillStore {
 
   std::string SegmentPath(uint32_t id) const;
   void MaybeRetire(uint32_t id, Segment* seg);
+  /// Ends appends to the active segment `seg` and moves on to the next id.
+  void SealActive(Segment* seg);
+  /// Closes the segment's descriptor, removes its file and forgets it.
+  Status DeleteSegment(uint32_t id);
 
   std::string dir_;
   size_t segment_bytes_;
@@ -102,6 +116,7 @@ class SpillStore {
   uint32_t active_ = 0;
   uint64_t live_bytes_ = 0;
   uint64_t retire_seq_ = 1;  // next retirement stamp; mark 1 = nothing retired
+  std::string frame_;        // Append's encode buffer, reused
 };
 
 }  // namespace dssj::store

@@ -150,6 +150,27 @@ class TcpClusterTest : public ::testing::Test {
   }
 };
 
+// kFinish is delivered locally from rank 0's DONE frame; asking to send it
+// to a remote rank must fail instead of queueing nothing and reporting
+// success.
+TEST(TcpTransportControlTest, RejectsFinishToRemoteRank) {
+  const std::vector<uint16_t> ports = net::PickFreePorts(2);
+  if (ports.empty()) GTEST_SKIP() << "no localhost sockets available";
+  StatusOr<std::vector<net::Endpoint>> cluster = net::ParseClusterSpec(LocalhostCluster(ports));
+  ASSERT_TRUE(cluster.ok());
+  net::TcpTransportOptions options;
+  options.cluster = cluster.value();
+  options.rank = 0;
+  net::TcpTransport transport(options);
+  transport.Start(
+      stream::TransportPlan{},
+      [](int, std::vector<stream::Envelope>&&) { return size_t{0}; },
+      [](const std::string&) {});
+  stream::ControlFrame finish;
+  finish.kind = stream::ControlKind::kFinish;
+  EXPECT_FALSE(transport.SendControl(1, finish));
+}
+
 TEST_F(TcpClusterTest, TwoRanksMatchSingleProcessAtEveryBatchSize) {
   const auto stream = MakeStream(31, 600);
   DistributedJoinOptions base = BaseOptions(stream);

@@ -5,8 +5,12 @@
 // an older consistent chain with a clean Status — never a crash, never a
 // silently corrupt payload.
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <random>
 #include <string>
 #include <vector>
@@ -443,6 +447,148 @@ TEST(SpillStoreTest, TornSegmentFuzzNeverCrashes) {
       }
     }
   }
+}
+
+TEST(SpillStoreTest, ReadsTheActiveSegmentsLastFrameRightAfterAppend) {
+  ScopedTempDir tmp;
+  std::unique_ptr<SpillStore> spill;
+  ASSERT_TRUE(
+      SpillStore::Open(tmp.Sub("spill"), 256, SpillStore::GcPolicy::kImmediate, &spill).ok());
+  // Lengths cross the one-byte varint boundary (127/128) so the header
+  // size the reader computes is exercised both ways.
+  for (const size_t len : {size_t{1}, size_t{127}, size_t{128}, size_t{300}, size_t{5}}) {
+    const std::string payload(len, static_cast<char>('a' + len % 26));
+    SpillHandle h;
+    ASSERT_TRUE(spill->Append(payload, &h).ok());
+    std::string back;
+    ASSERT_TRUE(spill->Read(h, &back).ok()) << "len " << len;
+    EXPECT_EQ(back, payload);
+  }
+}
+
+TEST(SpillStoreTest, ReadsInheritedFramesAfterReopenAndReref) {
+  ScopedTempDir tmp;
+  const std::string dir = tmp.Sub("spill");
+  std::vector<SpillHandle> handles;
+  {
+    std::unique_ptr<SpillStore> spill;
+    ASSERT_TRUE(SpillStore::Open(dir, 64, SpillStore::GcPolicy::kDeferred, &spill).ok());
+    for (int i = 0; i < 8; ++i) {
+      SpillHandle h;
+      ASSERT_TRUE(spill->Append("inherited-" + std::to_string(i), &h).ok());
+      handles.push_back(h);
+    }
+  }
+  std::unique_ptr<SpillStore> spill;
+  ASSERT_TRUE(SpillStore::Open(dir, 64, SpillStore::GcPolicy::kDeferred, &spill).ok());
+  for (size_t i = 0; i < handles.size(); ++i) {
+    ASSERT_TRUE(spill->Reref(handles[i])) << i;
+    std::string payload;
+    ASSERT_TRUE(spill->Read(handles[i], &payload).ok()) << i;
+    EXPECT_EQ(payload, "inherited-" + std::to_string(i));
+  }
+  // New appends go to a fresh segment and read back beside the old ones.
+  SpillHandle fresh;
+  ASSERT_TRUE(spill->Append("fresh", &fresh).ok());
+  EXPECT_GT(fresh.segment, handles.back().segment);
+  std::string payload;
+  ASSERT_TRUE(spill->Read(fresh, &payload).ok());
+  EXPECT_EQ(payload, "fresh");
+}
+
+// Damage lands in the file the open store already reads through its
+// descriptor (in place, not by replacing the file).
+TEST(SpillStoreTest, DamageUnderAnOpenStoreIsACleanError) {
+  for (const bool truncate : {false, true}) {
+    ScopedTempDir tmp;
+    std::unique_ptr<SpillStore> spill;
+    ASSERT_TRUE(
+        SpillStore::Open(tmp.Sub("spill"), 1 << 20, SpillStore::GcPolicy::kImmediate, &spill)
+            .ok());
+    std::vector<SpillHandle> handles;
+    for (int i = 0; i < 3; ++i) {
+      SpillHandle h;
+      ASSERT_TRUE(spill->Append(std::string(50, static_cast<char>('p' + i)), &h).ok());
+      handles.push_back(h);
+    }
+    const std::vector<std::string> names = List(spill->dir());
+    ASSERT_EQ(names.size(), 1u);
+    const std::string path = spill->dir() + "/" + names[0];
+    const SpillHandle& victim = handles[1];
+    if (truncate) {
+      // Cut the middle frame's payload short; the later frame goes too.
+      ASSERT_EQ(::truncate(path.c_str(), static_cast<off_t>(victim.offset + 20)), 0);
+    } else {
+      std::FILE* f = std::fopen(path.c_str(), "r+b");
+      ASSERT_NE(f, nullptr);
+      const long last_byte = static_cast<long>(
+          victim.offset + SegmentFrameBytes(victim.length) - 1);
+      ASSERT_EQ(std::fseek(f, last_byte, SEEK_SET), 0);
+      ASSERT_EQ(std::fputc('!', f), '!');
+      std::fclose(f);
+    }
+    std::string payload;
+    EXPECT_TRUE(spill->Read(handles[0], &payload).ok()) << "an undamaged frame failed";
+    EXPECT_EQ(payload, std::string(50, 'p'));
+    const Status st = spill->Read(victim, &payload);
+    EXPECT_FALSE(st.ok()) << "truncate=" << truncate;
+    if (truncate) {
+      EXPECT_FALSE(spill->Read(handles[2], &payload).ok());
+    } else {
+      EXPECT_TRUE(spill->Read(handles[2], &payload).ok());
+    }
+  }
+}
+
+size_t OpenFdCount() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+// Every segment descriptor is closed by the time its segment is retired or
+// deleted, and the rest by the destructor.
+TEST(SpillStoreTest, SegmentDescriptorsDoNotLeak) {
+  if (!std::filesystem::exists("/proc/self/fd")) GTEST_SKIP() << "no /proc/self/fd";
+  ScopedTempDir tmp;
+  const std::string dir = tmp.Sub("spill");
+  const size_t baseline = OpenFdCount();
+  std::vector<SpillHandle> handles;
+  {
+    std::unique_ptr<SpillStore> spill;
+    ASSERT_TRUE(SpillStore::Open(dir, 64, SpillStore::GcPolicy::kImmediate, &spill).ok());
+    for (int round = 0; round < 5; ++round) {
+      for (int i = 0; i < 40; ++i) {
+        SpillHandle h;
+        ASSERT_TRUE(spill->Append(std::string(40, 'r'), &h).ok());
+        handles.push_back(h);
+      }
+      // Release all but the newest 5: dozens of rotated segments retire.
+      while (handles.size() > 5) {
+        spill->Release(handles.front());
+        handles.erase(handles.begin());
+      }
+    }
+    EXPECT_LE(OpenFdCount(), baseline + 6) << "retired segments kept their descriptors";
+  }
+  EXPECT_EQ(OpenFdCount(), baseline) << "destructor left descriptors open";
+  {
+    std::unique_ptr<SpillStore> spill;
+    ASSERT_TRUE(SpillStore::Open(dir, 64, SpillStore::GcPolicy::kDeferred, &spill).ok());
+    ASSERT_TRUE(spill->Reref(handles.front()));
+    ASSERT_TRUE(spill->PurgeUnclaimed().ok());
+    for (int i = 0; i < 40; ++i) {
+      SpillHandle h;
+      ASSERT_TRUE(spill->Append(std::string(40, 'd'), &h).ok());
+      spill->Release(h);
+    }
+    spill->Release(handles.front());
+    ASSERT_TRUE(spill->DeleteRetiredBefore(spill->TakeRetireMark()).ok());
+    EXPECT_LE(OpenFdCount(), baseline + 1) << "only the active segment stays open";
+  }
+  EXPECT_EQ(OpenFdCount(), baseline);
 }
 
 // --- CheckpointService --------------------------------------------------

@@ -51,13 +51,14 @@ echo "== tiered state store =="
 # vs async base+delta vs spilled windows, kills landing mid-checkpoint).
 (cd build && ctest -L store --output-on-failure)
 
-echo "== torn-write fuzz repetition (N=20) =="
+echo "== store repetition (N=20) =="
 # The fuzz seeds inside store_test are fixed for reproducibility; repeated
 # runs re-explore the corruption space (truncation point, flipped bit, and
 # file choice all re-randomize per iteration within a run, so repetition
 # multiplies coverage). A failure here means a corrupt chain was read back
-# as valid — the worst silent failure the store can have.
-(cd build && ctest -R store_test --repeat until-fail:20 --output-on-failure)
+# as valid — the worst silent failure the store can have. The whole label
+# repeats, so the spill exactness and recovery suites ride along.
+(cd build && ctest -L store --repeat until-fail:20 --output-on-failure)
 
 echo "== store tmpdir hygiene =="
 # Every store/spill test routes its files through a mkdtemp dir under the
@@ -117,7 +118,7 @@ if [[ "$RUN_SANITIZE" == "1" ]]; then
                 net_wire_test net_transport_test net_smoke_test
                 wire_codec_equivalence_test wire_borrow_test
                 migration_test store_test checkpoint_equivalence_test
-                dssj_cli dssj_worker)
+                spill_joiner_test dssj_cli dssj_worker)
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
