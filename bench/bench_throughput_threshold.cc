@@ -139,11 +139,11 @@ void BM_Length_Tweet_CheckpointInterval(benchmark::State& state) {
   state.counters["checkpoint_MB"] = static_cast<double>(result.checkpoint_bytes) / 1e6;
 }
 
-// Same sweep with the tiered store in async-delta mode (docs/INTERNALS.md
-// §13): the task freezes a copy-on-write view and a checkpoint thread does
-// the serialization + write, with every 8th checkpoint a compacting base.
-// Compare against BM_Length_Tweet_CheckpointInterval at the same interval
-// to read off the hot-path savings.
+// Same sweep with the checkpoint chain on disk (docs/INTERNALS.md §13):
+// the task freezes a copy-on-write view and a checkpoint thread does the
+// serialization + write, with every 8th checkpoint a compacting base.
+// Compare against BM_Length_Tweet_CheckpointInterval (the same chain in
+// memory) at the same interval to read off the cost of the disk writes.
 void BM_Length_Tweet_AsyncDeltaCheckpoint(benchmark::State& state) {
   const size_t n = RecordsFor(DatasetPreset::kTweet);
   const auto& stream = CachedStream(DatasetPreset::kTweet, n);
@@ -154,7 +154,6 @@ void BM_Length_Tweet_AsyncDeltaCheckpoint(benchmark::State& state) {
       stream, options.sim, kJoiners, PartitionMethod::kLoadAwareGreedy);
   options.supervise = true;
   options.supervision.checkpoint_interval = static_cast<uint64_t>(state.range(0));
-  options.checkpoint_mode = store::CheckpointMode::kAsync;
   options.delta_base_interval = 8;
   DistributedJoinResult result;
   for (auto _ : state) {
@@ -455,8 +454,7 @@ struct TieredMeasurement {
 /// One store-backed supervised run at the headline configuration. The store
 /// root is a fresh mkdtemp dir, removed before returning, so repeated runs
 /// never compose against each other's chains.
-TieredMeasurement MeasureTieredOnce(int64_t interval, store::CheckpointMode mode,
-                                    uint32_t delta_base_interval) {
+TieredMeasurement MeasureTieredOnce(int64_t interval, uint32_t delta_base_interval) {
   const size_t n = RecordsFor(DatasetPreset::kTweet);
   const auto& stream = CachedStream(DatasetPreset::kTweet, n);
   DistributedJoinOptions options = BaseJoinOptions(800, kJoiners);
@@ -469,7 +467,6 @@ TieredMeasurement MeasureTieredOnce(int64_t interval, store::CheckpointMode mode
   char dir_template[] = "/tmp/dssj_bench_store_XXXXXX";
   const char* dir = mkdtemp(dir_template);
   options.store_dir = dir != nullptr ? dir : "/tmp/dssj_bench_store";
-  options.checkpoint_mode = mode;
   options.delta_base_interval = delta_base_interval;
   const DistributedJoinResult r = RunDistributedJoin(stream, options);
   store::RemoveTree(options.store_dir);
@@ -511,7 +508,6 @@ SpillMeasurement MeasureSpillOnce(BudgetMode budget, size_t max_index_bytes) {
       const char* dir = mkdtemp(dir_template);
       spill_dir = dir != nullptr ? dir : "/tmp/dssj_bench_spill";
       options.store_dir = spill_dir;
-      options.checkpoint_mode = store::CheckpointMode::kAsync;
       options.spill_watermark = 0.5;
     }
   }
@@ -686,13 +682,26 @@ int EmitJson(const std::string& path, int runs) {
   }
   std::fprintf(f, "  ],\n");
 
+  // Exact-only cells: a result count that differs from its reference
+  // (the unsupervised run, or the brute-force oracle) fails the whole emit.
+  bool exact = true;
+  const auto check_exact = [&exact](const char* cell, uint64_t results, uint64_t oracle) {
+    if (results == oracle) return;
+    exact = false;
+    std::fprintf(stderr, "[%s] INEXACT: %llu results, oracle %llu\n", cell,
+                 static_cast<unsigned long long>(results),
+                 static_cast<unsigned long long>(oracle));
+  };
+
   // Supervision/checkpoint overhead axis: same headline configuration
-  // (length-based, TWEET, t=0.8); interval -1 = supervision off (reference),
-  // 0 = supervised without checkpoints, else checkpoint every N tuples.
+  // (length-based, TWEET, t=0.8) with the checkpoint chain in memory;
+  // interval -1 = supervision off (reference), 0 = supervised without
+  // periodic checkpoints, else checkpoint every N tuples.
   std::fprintf(f, "  \"checkpoint_overhead\": [\n");
   const int64_t intervals[] = {-1, 0, 256, 1024, 4096};
   const size_t num_intervals = sizeof(intervals) / sizeof(intervals[0]);
   double off_rps = 0.0, off_scaled = 0.0;
+  uint64_t off_results = 0;
   for (size_t k = 0; k < num_intervals; ++k) {
     std::vector<double> wall, scaled;
     uint64_t checkpoints = 0, bytes = 0, results = 0;
@@ -703,6 +712,8 @@ int EmitJson(const std::string& path, int runs) {
       checkpoints = m.checkpoints;
       bytes = m.checkpoint_bytes;
       results = m.results;
+      if (k == 0 && i == 0) off_results = m.results;
+      check_exact("checkpoint_overhead", m.results, off_results);
     }
     const double w = Median(wall);
     if (intervals[k] < 0) {
@@ -710,13 +721,14 @@ int EmitJson(const std::string& path, int runs) {
       off_scaled = Median(scaled);
     }
     std::fprintf(f,
-                 "    {\"checkpoint_interval\": %lld, \"supervised\": %s,\n"
+                 "    {\"checkpoint_interval\": %lld, \"supervised\": %s, \"runs\": %d, "
+                 "\"nproc\": %u,\n"
                  "     \"rec_per_s_wall\": %.1f, \"relative_to_unsupervised\": %.3f,\n"
                  "     \"checkpoints\": %llu, \"checkpoint_bytes\": %llu, "
                  "\"results\": %llu}%s\n",
                  static_cast<long long>(intervals[k]),
-                 intervals[k] >= 0 ? "true" : "false", w,
-                 off_rps > 0.0 ? w / off_rps : 0.0,
+                 intervals[k] >= 0 ? "true" : "false", runs,
+                 std::thread::hardware_concurrency(), w, off_rps > 0.0 ? w / off_rps : 0.0,
                  static_cast<unsigned long long>(checkpoints),
                  static_cast<unsigned long long>(bytes),
                  static_cast<unsigned long long>(results),
@@ -731,78 +743,54 @@ int EmitJson(const std::string& path, int runs) {
   std::fprintf(f, "  ],\n");
 
   // Tiered state store axis (docs/INTERNALS.md §13): at each checkpoint
-  // interval, the synchronous store (full image encoded + written on the
-  // hot path, every checkpoint a base) against the async-delta store
-  // (copy-on-write freeze, checkpoint thread writes, every 8th a base);
-  // both relative to the unsupervised reference measured above. Then the
-  // windows-larger-than-RAM run: the same join with a per-joiner index
-  // budget far below the window, evicting (recall loss) vs spilling
-  // (full recall, disk reads on surviving candidates).
-  // Exact-only cells: a result count that differs from its reference
-  // (the unlimited run, or the brute-force oracle) fails the whole emit.
-  bool exact = true;
-  const auto check_exact = [&exact](const char* cell, uint64_t results, uint64_t oracle) {
-    if (results == oracle) return;
-    exact = false;
-    std::fprintf(stderr, "[%s] INEXACT: %llu results, oracle %llu\n", cell,
-                 static_cast<unsigned long long>(results),
-                 static_cast<unsigned long long>(oracle));
-  };
+  // interval, the checkpoint chain on disk (copy-on-write freeze,
+  // checkpoint thread writes, every 8th a base), relative to the
+  // unsupervised reference measured above. Then the windows-larger-than-RAM
+  // run: the same join with a per-joiner index budget far below the window,
+  // evicting (recall loss) vs spilling (full recall, disk reads on
+  // surviving candidates).
   std::fprintf(f, "  \"tiered_state\": {\n");
   std::fprintf(f,
                "    \"preset\": \"tweet\", \"records\": %zu, "
-               "\"delta_base_interval\": 8,\n"
+               "\"delta_base_interval\": 8, \"runs\": %d, \"nproc\": %u,\n"
                "    \"unsupervised_rec_per_s\": %.1f, "
                "\"unsupervised_rec_per_s_scaled\": %.1f,\n"
                "    \"checkpoint_sweep\": [\n",
-               RecordsFor(DatasetPreset::kTweet), off_rps, off_scaled);
+               RecordsFor(DatasetPreset::kTweet), runs, std::thread::hardware_concurrency(),
+               off_rps, off_scaled);
   const int64_t tiered_intervals[] = {64, 256, 1024};
   const size_t num_tiered = sizeof(tiered_intervals) / sizeof(tiered_intervals[0]);
   for (size_t k = 0; k < num_tiered; ++k) {
-    std::vector<double> sync_wall, async_wall, sync_scaled, async_scaled;
-    TieredMeasurement sync_last, async_last;
+    std::vector<double> wall, scaled;
+    TieredMeasurement last;
     for (int i = 0; i < runs; ++i) {
-      sync_last = MeasureTieredOnce(tiered_intervals[k], store::CheckpointMode::kSync, 8);
-      sync_wall.push_back(sync_last.wall_rps);
-      sync_scaled.push_back(sync_last.scaled_rps);
-      async_last = MeasureTieredOnce(tiered_intervals[k], store::CheckpointMode::kAsync, 8);
-      async_wall.push_back(async_last.wall_rps);
-      async_scaled.push_back(async_last.scaled_rps);
+      last = MeasureTieredOnce(tiered_intervals[k], 8);
+      wall.push_back(last.wall_rps);
+      scaled.push_back(last.scaled_rps);
+      check_exact("tiered_state.checkpoint_sweep", last.results, off_results);
     }
-    const double sw = Median(sync_wall), aw = Median(async_wall);
-    const double ss = Median(sync_scaled), as = Median(async_scaled);
+    const double w = Median(wall), sc = Median(scaled);
     std::fprintf(f,
                  "      {\"checkpoint_interval\": %lld,\n"
-                 "       \"sync_full\": {\"rec_per_s_wall\": %.1f, "
-                 "\"rec_per_s_scaled\": %.1f,\n"
-                 "        \"relative_scaled\": %.3f,\n"
-                 "        \"base_checkpoints\": %llu, \"base_checkpoint_bytes\": %llu},\n"
                  "       \"async_delta\": {\"rec_per_s_wall\": %.1f, "
                  "\"rec_per_s_scaled\": %.1f,\n"
                  "        \"relative_scaled\": %.3f,\n"
                  "        \"delta_checkpoints\": %llu, \"delta_checkpoint_bytes\": %llu,\n"
                  "        \"base_checkpoints\": %llu, \"base_checkpoint_bytes\": %llu},\n"
-                 "       \"async_over_sync_scaled\": %.3f, \"results\": %llu}%s\n",
-                 static_cast<long long>(tiered_intervals[k]), sw, ss,
-                 off_scaled > 0.0 ? ss / off_scaled : 0.0,
-                 static_cast<unsigned long long>(sync_last.base_checkpoints),
-                 static_cast<unsigned long long>(sync_last.base_bytes), aw, as,
-                 off_scaled > 0.0 ? as / off_scaled : 0.0,
-                 static_cast<unsigned long long>(async_last.delta_checkpoints),
-                 static_cast<unsigned long long>(async_last.delta_bytes),
-                 static_cast<unsigned long long>(async_last.base_checkpoints),
-                 static_cast<unsigned long long>(async_last.base_bytes),
-                 ss > 0.0 ? as / ss : 0.0,
-                 static_cast<unsigned long long>(async_last.results),
-                 k + 1 < num_tiered ? "," : "");
+                 "       \"results\": %llu}%s\n",
+                 static_cast<long long>(tiered_intervals[k]), w, sc,
+                 off_scaled > 0.0 ? sc / off_scaled : 0.0,
+                 static_cast<unsigned long long>(last.delta_checkpoints),
+                 static_cast<unsigned long long>(last.delta_bytes),
+                 static_cast<unsigned long long>(last.base_checkpoints),
+                 static_cast<unsigned long long>(last.base_bytes),
+                 static_cast<unsigned long long>(last.results), k + 1 < num_tiered ? "," : "");
     std::fprintf(stderr,
-                 "[tiered interval=%lld] sync %.0f rec/s scaled (%.3f of unsupervised), "
-                 "async-delta %.0f rec/s scaled (%.3f); results %llu vs %llu\n",
-                 static_cast<long long>(tiered_intervals[k]), ss,
-                 off_scaled > 0.0 ? ss / off_scaled : 0.0, as,
-                 off_scaled > 0.0 ? as / off_scaled : 0.0,
-                 static_cast<unsigned long long>(sync_last.results),
-                 static_cast<unsigned long long>(async_last.results));
+                 "[tiered interval=%lld] %.0f rec/s wall, %.0f rec/s scaled (%.3f of "
+                 "unsupervised); results %llu\n",
+                 static_cast<long long>(tiered_intervals[k]), w, sc,
+                 off_scaled > 0.0 ? sc / off_scaled : 0.0,
+                 static_cast<unsigned long long>(last.results));
   }
   std::fprintf(f, "    ],\n");
   {
@@ -816,6 +804,7 @@ int EmitJson(const std::string& path, int runs) {
       evict_wall.push_back(evict_last.wall_rps);
       spill_last = MeasureSpillOnce(BudgetMode::kSpill, budget);
       spill_wall.push_back(spill_last.wall_rps);
+      check_exact("tiered_state.unlimited", unl_last.results, off_results);
       check_exact("tiered_state.spill", spill_last.results, unl_last.results);
     }
     const double unl_results = static_cast<double>(unl_last.results);

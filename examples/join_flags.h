@@ -39,8 +39,7 @@ inline const char* JoinFlagsUsage() {
          "          [--elastic_interval_ms=N]\n"
          "          [--shed_policy=none|probe|oldest|bundle] [--shed_watermark=F]\n"
          "          [--max_index_bytes=N] [--stall_timeout_ms=N] [--arrival_rate=R]\n"
-         "          [--store_dir=PATH] [--checkpoint_mode=sync|async]\n"
-         "          [--delta_base_interval=N] [--spill_watermark=F]\n";
+         "          [--store_dir=PATH] [--delta_base_interval=N] [--spill_watermark=F]\n";
 }
 
 /// Parses everything both binaries share into `cfg`. Prints the problem to
@@ -147,17 +146,8 @@ inline bool ParseJoinFlags(const dssj::Flags& flags, JoinCliConfig* cfg) {
     return false;
   }
   const std::string store_dir = flags.GetString("store_dir", "");
-  const std::string checkpoint_mode = flags.GetString("checkpoint_mode", "sync");
   const int64_t delta_base_interval = flags.GetInt("delta_base_interval", 8);
   const double spill_watermark = flags.GetDouble("spill_watermark", 0.0);
-  if (checkpoint_mode == "sync") {
-    options.checkpoint_mode = dssj::store::CheckpointMode::kSync;
-  } else if (checkpoint_mode == "async") {
-    options.checkpoint_mode = dssj::store::CheckpointMode::kAsync;
-  } else {
-    std::fprintf(stderr, "unknown checkpoint mode '%s' (sync|async)\n", checkpoint_mode.c_str());
-    return false;
-  }
   if (delta_base_interval < 0) {
     std::fprintf(stderr, "--delta_base_interval must be >= 0\n");
     return false;

@@ -87,8 +87,8 @@ class BundleJoiner : public LocalJoiner {
   /// appended since the last freeze; a delta ships deep copies of just
   /// the dirty bundles plus those logs. FreezeBase serializes the full
   /// image eagerly (bundle state has no cheap immutable view — unlike the
-  /// record joiner's refcounted window — so the async win here is that
-  /// bases are periodic and deltas small).
+  /// record joiner's refcounted window — so the win here is that bases
+  /// are periodic and deltas small).
   bool SupportsIncrementalSnapshot() const override { return true; }
   store::FrozenBlob FreezeBase() override;
   store::FrozenBlob FreezeDelta() override;

@@ -267,10 +267,8 @@ class JoinerBolt : public stream::Bolt {
       // purged once recovery completes.
       const std::string dir =
           options_->store_dir + "/spill_" + ctx.component + "_p" + std::to_string(partition_);
-      const auto gc = options_->checkpoint_mode == store::CheckpointMode::kAsync
-                          ? store::SpillStore::GcPolicy::kDeferred
-                          : store::SpillStore::GcPolicy::kImmediate;
-      const Status st = store::SpillStore::Open(dir, options_->store_segment_bytes, gc, &spill_);
+      const Status st = store::SpillStore::Open(dir, options_->store_segment_bytes,
+                                                store::SpillStore::GcPolicy::kDeferred, &spill_);
       if (st.ok()) {
         const auto watermark = static_cast<size_t>(
             options_->spill_watermark * static_cast<double>(options_->max_index_bytes));
@@ -375,16 +373,16 @@ class JoinerBolt : public stream::Bolt {
     std::string joiner_blob;
     r.ReadBytes(&joiner_blob);
     joiner_->Restore(joiner_blob);
-    // A self-contained image (tag 0: migration blob or in-memory fallback)
-    // re-appends its cold records to fresh frames, so whatever the
-    // previous incarnation left on disk is garbage now. Tiered bases wait
-    // for OnRestoreComplete — the delta chain still claims frames.
+    // A self-contained image (tag 0: a migration blob) re-appends its cold
+    // records to fresh frames, so whatever the previous incarnation left on
+    // disk is garbage now. Tiered bases wait for OnRestoreComplete — the
+    // delta chain still claims frames.
     if (spill_ != nullptr && !joiner_blob.empty() && joiner_blob[0] == 0) {
       spill_->PurgeUnclaimed();
     }
   }
 
-  /// Async-checkpoint path (TopologyBuilder::SetStore). The bolt header
+  /// Checkpoint-chain path (docs/INTERNALS.md §13). The bolt header
   /// (a few counters + the shed seq list) is copied eagerly — it mutates
   /// with the very next tuple; the joiner contributes its frozen view,
   /// which serializes later on the checkpoint thread. Layout matches
@@ -408,8 +406,7 @@ class JoinerBolt : public stream::Bolt {
       WriteMergeState(w);
     }
     store::FrozenBlob inner = want_delta ? joiner_->FreezeDelta() : joiner_->FreezeBase();
-    if (!inner.is_delta && spill_ != nullptr &&
-        options_->checkpoint_mode == store::CheckpointMode::kAsync) {
+    if (!inner.is_delta && spill_ != nullptr) {
       // Segments fully retired before this base was frozen are invisible
       // to it and to every later delta; reclaim them once it is durable.
       retire_marks_.push_back(spill_->TakeRetireMark());
@@ -444,9 +441,10 @@ class JoinerBolt : public stream::Bolt {
   }
   void OnCheckpointDurable(uint64_t /*epoch*/, bool is_base) override {
     // Marks queue in freeze order and bases confirm in epoch order, so
-    // front() is the mark taken when this base froze. The driver-submitted
-    // initial base (epoch 0) predates Prepare's first Freeze and has no
-    // mark — the empty-queue guard skips it.
+    // front() is the mark taken when this base froze. After a crash the
+    // fresh bolt still receives confirmations of its predecessor's
+    // checkpoints, which have no mark here — the empty-queue guard skips
+    // them.
     if (!is_base || spill_ == nullptr || retire_marks_.empty()) return;
     spill_->DeleteRetiredBefore(retire_marks_.front());
     retire_marks_.pop_front();
@@ -982,14 +980,8 @@ DistributedJoinResult RunDistributedJoin(const std::vector<RecordPtr>& input,
   if (!options.store_dir.empty()) {
     CHECK(options.supervise || options.elastic || !options.fault_script.empty())
         << "store_dir requires supervision (checkpoints drive the store)";
-    store::StoreOptions so;
-    so.dir = options.store_dir;
-    so.mode = options.checkpoint_mode;
-    so.delta_base_interval = options.delta_base_interval;
-    so.spill_watermark = options.spill_watermark;
-    so.segment_bytes = options.store_segment_bytes;
-    builder.SetStore(std::move(so));
   }
+  builder.SetStore(store::StoreOptions{options.store_dir, options.delta_base_interval});
   if (options.elastic) builder.SetElastic(true);
   if (!options.fault_script.empty()) {
     StatusOr<stream::FaultScript> script = stream::FaultScript::Parse(options.fault_script);

@@ -202,16 +202,17 @@ struct DistributedJoinOptions {
   /// max_index_bytes. Ignored by the brute-force joiner.
   size_t max_index_bytes = 0;
 
-  /// Tiered state store (docs/INTERNALS.md §13). A non-empty store_dir
-  /// roots an on-disk store there (requires `supervise`): checkpoints are
-  /// persisted per task under store_dir/task_<id>/, and joiners with a
-  /// spill_watermark > 0 overflow cold window state to
-  /// store_dir/spill_<component>_p<partition>/ instead of budget-evicting
-  /// it. kAsync moves checkpoint encoding + disk writes off the task
-  /// thread (frozen views; deltas between every delta_base_interval-th
-  /// full base image); kSync writes a full base inline at each boundary.
+  /// Tiered state store (docs/INTERNALS.md §13). Supervised bolts
+  /// checkpoint through one chain: a frozen view at each boundary, encoded
+  /// and written off the task thread, a full base every
+  /// delta_base_interval-th checkpoint and deltas between. A non-empty
+  /// store_dir (requires `supervise`) keeps the chains on disk under
+  /// store_dir/task_<id>/, and joiners with a spill_watermark > 0 overflow
+  /// cold window state to store_dir/spill_<component>_p<partition>/
+  /// instead of budget-evicting it; an empty one keeps the chains in memory.
   std::string store_dir;
-  store::CheckpointMode checkpoint_mode = store::CheckpointMode::kSync;
+  /// Read by nothing; stays until perfbench/ stops setting it.
+  store::CheckpointMode checkpoint_mode = store::CheckpointMode::kAsync;
   uint32_t delta_base_interval = 8;
   /// Fraction of max_index_bytes at which the record joiner starts
   /// spilling cold records to disk rather than evicting them (<= 0 keeps

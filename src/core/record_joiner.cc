@@ -376,7 +376,7 @@ void RecordJoiner::CompactIndex() {
 namespace {
 
 // Blob tags (docs/INTERNALS.md §13). Self-contained images inline cold
-// records (the migration / sync-checkpoint format); tiered bases carry
+// records (the migration format); tiered bases carry
 // cold records as spill-segment stubs; deltas carry only the window
 // suffix touched since the previous freeze.
 constexpr uint8_t kTagSelfContained = 0;

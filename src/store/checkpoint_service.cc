@@ -71,34 +71,33 @@ void CheckpointService::Stop() {
 void CheckpointService::Run() {
   for (;;) {
     CheckpointJob job;
+    bool wedged = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ with drained queue
       job = std::move(queue_.front());
       queue_.pop_front();
-      if (tasks_[job.task_id].wedged) {
-        // The store failed earlier; keep the durable epoch pinned so the
-        // task never truncates replay state it still needs.
-        ++tasks_[job.task_id].processed;
-        lock.unlock();
-        if (job.on_complete) job.on_complete(false, 0, 0);
-        done_cv_.notify_all();
-        continue;
-      }
+      wedged = tasks_[job.task_id].wedged;
     }
 
-    const int64_t t0 = NowNanos();
-    std::string payload;
-    if (job.blob.encode) job.blob.encode(&payload);
-    const Status st = job.is_base ? job.store->WriteBase(job.epoch, payload)
-                                  : job.store->WriteDelta(job.epoch, payload);
-    const uint64_t nanos = static_cast<uint64_t>(NowNanos() - t0);
-
-    {
+    // A wedged store skips the write, keeping the durable epoch pinned so
+    // the task never truncates replay state it still needs.
+    bool ok = false;
+    uint64_t bytes = 0;
+    uint64_t nanos = 0;
+    if (!wedged) {
+      const int64_t t0 = NowNanos();
+      std::string payload;
+      if (job.blob.encode) job.blob.encode(&payload);
+      const Status st = job.is_base ? job.store->WriteBase(job.epoch, payload)
+                                    : job.store->WriteDelta(job.epoch, payload);
+      nanos = static_cast<uint64_t>(NowNanos() - t0);
+      ok = st.ok();
+      bytes = ok ? payload.size() : 0;
       std::lock_guard<std::mutex> lock(mu_);
       TaskState& ts = tasks_[job.task_id];
-      if (st.ok()) {
+      if (ok) {
         ts.durable = job.epoch;
         ts.durable_set = true;
       } else {
@@ -106,9 +105,14 @@ void CheckpointService::Run() {
         LOG(ERROR) << "checkpoint write failed for task " << job.task_id << " epoch "
                    << job.epoch << ": " << st.ToString() << " (store wedged)";
       }
-      ++ts.processed;
     }
-    if (job.on_complete) job.on_complete(st.ok(), st.ok() ? payload.size() : 0, nanos);
+    if (job.on_complete) job.on_complete(ok, bytes, nanos);
+    {
+      // Counted only after on_complete, so a Barrier also orders the
+      // callback's effects before the waiter.
+      std::lock_guard<std::mutex> lock(mu_);
+      ++tasks_[job.task_id].processed;
+    }
     done_cv_.notify_all();
   }
 }

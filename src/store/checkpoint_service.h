@@ -52,15 +52,15 @@ class CheckpointService {
   void Submit(CheckpointJob job);
 
   /// Newest epoch of `task_id` whose write (and all predecessors) is
-  /// durable. 0 means nothing durable yet (epochs start at 1... except a
-  /// task's initial base, which uses epoch 0 — see DurableSet).
+  /// durable. Epochs start at 0 (a task's initial base), so the value is
+  /// meaningful only once DurableSet(task_id) is true; before that it is 0.
   uint64_t DurableEpoch(int task_id) const;
   /// True once any epoch of `task_id` completed (distinguishes "epoch 0
   /// durable" from "nothing durable").
   bool DurableSet(int task_id) const;
 
   /// Blocks until every job for `task_id` submitted before this call has
-  /// been processed (written or wedge-skipped).
+  /// been processed (written or wedge-skipped) and its on_complete ran.
   void Barrier(int task_id);
 
   /// Clears the wedge + durable state of `task_id` (new incarnation about

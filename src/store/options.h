@@ -1,7 +1,5 @@
-// Configuration of the tiered state store (docs/INTERNALS.md §13): where
-// checkpoint and spill files live, whether checkpoints are written
-// synchronously on the task thread or encoded off-thread from a frozen
-// view, and how often the delta chain is compacted into a full base image.
+// Configuration of the checkpoint chains (docs/INTERNALS.md §13): where
+// they live, and how often a chain is compacted into a full base image.
 #ifndef DSSJ_STORE_OPTIONS_H_
 #define DSSJ_STORE_OPTIONS_H_
 
@@ -10,40 +8,18 @@
 
 namespace dssj::store {
 
-/// Checkpoint write discipline. kSync keeps the pre-store behavior: the
-/// task thread serializes its full state at every checkpoint boundary and
-/// keeps the blob in memory. kAsync freezes a cheap view at the boundary
-/// and hands encoding + disk write to the checkpoint service thread; the
-/// replay log is truncated only once the write is durable, so a crash at
-/// any point recovers from the newest consistent base + delta chain.
-enum class CheckpointMode : uint8_t {
-  kSync = 0,
-  kAsync = 1,
-};
+/// Read by nothing; stays until perfbench/ stops setting checkpoint_mode.
+enum class CheckpointMode : uint8_t { kAsync = 1 };
 
 struct StoreOptions {
-  /// Root directory for checkpoint and spill files. Empty disables the
-  /// store entirely (sync in-memory checkpoints, budget eviction instead
-  /// of spill). Each task uses `dir`/task_<id>/.
+  /// Root directory for checkpoint files; each task uses `dir`/task_<id>/.
+  /// Empty keeps every task's checkpoint chain in memory.
   std::string dir;
-
-  CheckpointMode mode = CheckpointMode::kSync;
 
   /// Every Nth checkpoint of a task is a full base image; the N-1 between
   /// are deltas (dirty sets only). Larger values shrink steady-state
   /// checkpoint bytes but lengthen the recovery chain.
   uint32_t delta_base_interval = 8;
-
-  /// Fraction of a joiner's max_index_bytes at which cold window state
-  /// starts spilling to on-disk segments instead of being budget-evicted.
-  /// <= 0 disables spilling (PR 3 eviction behavior).
-  double spill_watermark = 0.0;
-
-  /// Rotate spill segment files at this size (per joiner task).
-  size_t segment_bytes = 4u << 20;
-
-  bool enabled() const { return !dir.empty(); }
-  bool async() const { return enabled() && mode == CheckpointMode::kAsync; }
 };
 
 }  // namespace dssj::store

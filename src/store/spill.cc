@@ -7,15 +7,14 @@
 #include <cerrno>
 #include <cstring>
 
-#include "common/logging.h"
 #include "store/format.h"
 
 namespace dssj::store {
 
-Status SpillStore::Open(const std::string& dir, size_t segment_bytes, GcPolicy gc,
+Status SpillStore::Open(const std::string& dir, size_t segment_bytes, GcPolicy /*gc*/,
                         std::unique_ptr<SpillStore>* out) {
   DSSJ_RETURN_IF_ERROR(EnsureDir(dir));
-  std::unique_ptr<SpillStore> store(new SpillStore(dir, segment_bytes, gc));
+  std::unique_ptr<SpillStore> store(new SpillStore(dir, segment_bytes));
   std::vector<std::string> names;
   DSSJ_RETURN_IF_ERROR(ListStoreFiles(dir, &names));
   uint32_t max_id = 0;
@@ -76,7 +75,7 @@ std::string SpillStore::SegmentPath(uint32_t id) const {
 
 void SpillStore::SealActive(Segment* seg) {
   seg->sealed = true;
-  MaybeRetire(active_, seg);
+  MaybeRetire(seg);
   ++active_;
 }
 
@@ -136,20 +135,16 @@ void SpillStore::Release(const SpillHandle& handle) {
   if (seg.live == 0) return;
   --seg.live;
   live_bytes_ -= std::min<uint64_t>(live_bytes_, handle.length);
-  MaybeRetire(handle.segment, &seg);
+  MaybeRetire(&seg);
 }
 
-void SpillStore::MaybeRetire(uint32_t id, Segment* seg) {
+void SpillStore::MaybeRetire(Segment* seg) {
   if (!seg->sealed || seg->live != 0 || seg->unclaimed != 0 || seg->retired_at != 0) return;
   seg->retired_at = retire_seq_++;
   // Nothing live reads a retired segment; only an older base checkpoint
   // may still name its file.
   if (seg->fd >= 0) ::close(seg->fd);
   seg->fd = -1;
-  if (gc_ == GcPolicy::kImmediate) {
-    const Status st = DeleteSegment(id);
-    if (!st.ok()) LOG(WARNING) << "spill gc: " << st.ToString();
-  }
 }
 
 Status SpillStore::DeleteSegment(uint32_t id) {

@@ -34,15 +34,14 @@ struct SpillHandle {
 ///
 /// GC discipline: Release() drops a frame's liveness; a sealed segment
 /// whose frames are all dead is *retired* (tracked, file kept) rather
-/// than deleted, because an async base checkpoint written earlier may
-/// still hold handles into it. kImmediate deletes at retire time (sync
-/// checkpoints inline cold records, so only the live joiner references
-/// segments); kDeferred keeps retired segments until the owner confirms a
-/// base checkpoint that post-dates the retirement is durable
-/// (TakeRetireMark at freeze, DeleteRetiredBefore when durable).
+/// than deleted, because a base checkpoint written earlier may still hold
+/// handles into it. Retired segments stay until the owner confirms a base
+/// checkpoint that post-dates the retirement is durable (TakeRetireMark at
+/// freeze, DeleteRetiredBefore when durable).
 class SpillStore {
  public:
-  enum class GcPolicy : uint8_t { kImmediate = 0, kDeferred = 1 };
+  /// Single-valued; stays until perfbench/ stops passing it to Open.
+  enum class GcPolicy : uint8_t { kDeferred = 1 };
 
   /// Opens (creating if needed) the spill directory. Existing segments
   /// from a previous incarnation are scanned: torn tails are truncated
@@ -65,7 +64,7 @@ class SpillStore {
   Status Read(const SpillHandle& handle, std::string* payload) const;
 
   /// Marks a frame dead. When this kills the last live frame of a sealed
-  /// segment, the segment is retired (and deleted under kImmediate).
+  /// segment, the segment is retired.
   void Release(const SpillHandle& handle);
 
   /// Claims an unclaimed frame during restore (inverse of Release for
@@ -99,11 +98,11 @@ class SpillStore {
     std::vector<SpillHandle> unclaimed_frames;
   };
 
-  SpillStore(std::string dir, size_t segment_bytes, GcPolicy gc)
-      : dir_(std::move(dir)), segment_bytes_(segment_bytes), gc_(gc) {}
+  SpillStore(std::string dir, size_t segment_bytes)
+      : dir_(std::move(dir)), segment_bytes_(segment_bytes) {}
 
   std::string SegmentPath(uint32_t id) const;
-  void MaybeRetire(uint32_t id, Segment* seg);
+  void MaybeRetire(Segment* seg);
   /// Ends appends to the active segment `seg` and moves on to the next id.
   void SealActive(Segment* seg);
   /// Closes the segment's descriptor, removes its file and forgets it.
@@ -111,7 +110,6 @@ class SpillStore {
 
   std::string dir_;
   size_t segment_bytes_;
-  GcPolicy gc_;
   std::map<uint32_t, Segment> segments_;
   uint32_t active_ = 0;
   uint64_t live_bytes_ = 0;

@@ -50,6 +50,10 @@ Status LoadCheckpoint(const std::string& path, CheckpointKind want_kind, uint64_
 }  // namespace
 
 Status StateStore::WriteBase(uint64_t epoch, const std::string& payload) {
+  if (dir_.empty()) {
+    mem_ = RecoveredChain{true, epoch, payload, {}};
+    return Status::OK();
+  }
   DSSJ_RETURN_IF_ERROR(EnsureDir(dir_));
   std::string image;
   EncodeCheckpointFile(CheckpointKind::kBase, epoch, payload, &image);
@@ -65,6 +69,14 @@ Status StateStore::WriteBase(uint64_t epoch, const std::string& payload) {
 }
 
 Status StateStore::WriteDelta(uint64_t epoch, const std::string& payload) {
+  if (dir_.empty()) {
+    // A delta that does not extend the chain could never be composed.
+    if (mem_.valid && epoch == mem_.epoch + 1) {
+      mem_.deltas.push_back(payload);
+      mem_.epoch = epoch;
+    }
+    return Status::OK();
+  }
   DSSJ_RETURN_IF_ERROR(EnsureDir(dir_));
   std::string image;
   EncodeCheckpointFile(CheckpointKind::kDelta, epoch, payload, &image);
@@ -72,6 +84,10 @@ Status StateStore::WriteDelta(uint64_t epoch, const std::string& payload) {
 }
 
 Status StateStore::Recover(RecoveredChain* out) const {
+  if (dir_.empty()) {
+    *out = mem_;
+    return Status::OK();
+  }
   *out = RecoveredChain{};
   std::vector<StoreFile> files;
   DSSJ_RETURN_IF_ERROR(ListCheckpoints(dir_, &files));
@@ -110,6 +126,10 @@ Status StateStore::Recover(RecoveredChain* out) const {
 }
 
 Status StateStore::Truncate() {
+  if (dir_.empty()) {
+    mem_ = RecoveredChain{};
+    return Status::OK();
+  }
   std::vector<StoreFile> files;
   DSSJ_RETURN_IF_ERROR(ListCheckpoints(dir_, &files));
   for (const StoreFile& f : files) {

@@ -1,8 +1,9 @@
-// Per-task durable checkpoint chain: one directory holding full base
-// images plus the delta files written since the newest base. Recovery
-// composes the newest *valid* base with the longest contiguous run of
-// valid deltas after it (docs/INTERNALS.md §13) — a torn or bit-flipped
-// file terminates the chain cleanly instead of failing recovery outright.
+// Per-task checkpoint chain: one directory holding full base images plus
+// the delta files written since the newest base, or the same chain held in
+// memory when there is no directory. Recovery composes the newest *valid*
+// base with the longest contiguous run of valid deltas after it
+// (docs/INTERNALS.md §13) — a torn or bit-flipped file terminates the
+// chain cleanly instead of failing recovery outright.
 #ifndef DSSJ_STORE_STATE_STORE_H_
 #define DSSJ_STORE_STATE_STORE_H_
 
@@ -26,10 +27,12 @@ struct RecoveredChain {
   std::vector<std::string> deltas;
 };
 
-/// Owns one task's checkpoint directory. Not thread-safe: in async mode
-/// all calls happen on the checkpoint service thread (plus Recover /
-/// Truncate on the task thread strictly before/after the service touches
-/// the task — the service Barrier orders them).
+/// Owns one task's checkpoint chain: the directory `dir`, or memory when
+/// `dir` is empty (the newest base plus the contiguous deltas after it;
+/// same contract, nothing touches the filesystem). Not thread-safe: all
+/// writes happen on the checkpoint service thread, Recover / Truncate on
+/// the task thread strictly before/after the service touches the task —
+/// the service Barrier orders them.
 class StateStore {
  public:
   explicit StateStore(std::string dir) : dir_(std::move(dir)) {}
@@ -56,6 +59,7 @@ class StateStore {
 
  private:
   std::string dir_;
+  RecoveredChain mem_;  ///< the whole chain when dir_ is empty
 };
 
 }  // namespace dssj::store

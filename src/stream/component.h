@@ -111,7 +111,8 @@ class Bolt {
   virtual void Snapshot(std::string* /*out*/) const {}
   virtual void Restore(const std::string& /*blob*/) {}
 
-  /// Async-checkpoint support (TopologyBuilder::SetStore). Freeze captures
+  /// Checkpoint-chain support (every supervised SupportsSnapshot bolt;
+  /// docs/INTERNALS.md §13). Freeze captures
   /// a consistent view of the bolt's state at the current tuple boundary
   /// and returns a blob whose encode runs later, possibly on the
   /// checkpoint thread — the bolt keeps executing meanwhile, so the view

@@ -56,10 +56,10 @@ struct TaskMetrics {
   Counter link_drops_recovered;
   Counter link_dups_discarded;
 
-  // Tiered state store (zero unless TopologyBuilder::SetStore). The
-  // `checkpoints` triple above keeps counting every checkpoint; these
-  // split the async path by kind so overhead attribution (small frequent
-  // deltas vs. rare full bases) survives aggregation.
+  // Checkpoint chain (zero unless supervised). The `checkpoints` triple
+  // above keeps counting every checkpoint; these split it by kind so
+  // overhead attribution (small frequent deltas vs. rare full bases)
+  // survives aggregation.
   Counter delta_checkpoints;
   Counter base_checkpoints;
   Counter delta_checkpoint_bytes;

@@ -87,6 +87,9 @@ struct Task {
   /// Allocated for every task, hosted or not: rank 0 folds remote tasks'
   /// counters into these at the transport's end-of-run barrier.
   std::unique_ptr<TaskMetrics> metrics;
+  /// Checkpoint chain of a supervised bolt task, created by the first
+  /// executor that runs the task on this rank (Build-time or migrated in).
+  std::unique_ptr<store::StateStore> store;
   std::thread thread;
 };
 
@@ -149,14 +152,12 @@ struct TopologyImpl {
   std::mutex fail_mu;
   std::string failure_message;
 
-  // Tiered state store (SetStore). `task_stores` (by task id) holds one
-  // durable checkpoint-chain directory per hosted, snapshot-capable bolt
-  // task; `ckpt_service` is the single encode+write thread shared by every
-  // task in async mode (null in sync mode, where the executor writes its
-  // base image inline).
+  // Checkpoint chains (SetStore; docs/INTERNALS.md §13). `ckpt_service` is
+  // the single encode+write thread shared by every supervised bolt task
+  // (null when unsupervised); each task's chain lives in Task::store, on
+  // disk under `store_opts.dir` or in memory when the dir is empty.
   store::StoreOptions store_opts;
   std::unique_ptr<store::CheckpointService> ckpt_service;
-  std::vector<std::unique_ptr<store::StateStore>> task_stores;
 
   // Overload control (SetOverload): queue-health instrumentation is enabled
   // on every bolt queue at Build(), and — when a stall timeout is set — a
@@ -1101,6 +1102,11 @@ void TopologyImpl::RunSpoutTask(Task& task) {
 }
 
 void TopologyImpl::RunBoltTask(Task& task, const MigrationState* restore) {
+  if (supervised && task.store == nullptr) {
+    task.store = std::make_unique<store::StateStore>(
+        store_opts.dir.empty() ? std::string()
+                               : store_opts.dir + "/task_" + std::to_string(task.id));
+  }
   MigrationState adopted;
   MigrationState next;
   const MigrationState* cur = restore;
@@ -1152,9 +1158,9 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
   const bool snap_ok = task.bolt->SupportsSnapshot();
   const uint64_t ckpt_interval =
       (supervised && snap_ok) ? supervision.checkpoint_interval : 0;
+  // Recovery anchor: progress and emission cursors of the newest durable
+  // checkpoint (the incarnation start until epoch 0 is durable).
   struct BoltCheckpoint {
-    bool has_state = false;
-    std::string state;
     uint64_t executed = 0;
     CollectorImpl::Cursor cursor;
   } ckpt;
@@ -1179,12 +1185,6 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
 
   ckpt.executed = executed_total;
   collector.SaveCursor(&ckpt.cursor);
-  if (snap_ok) {
-    // Initial checkpoint (see RunSpoutTask): recovery always restores,
-    // even before the first periodic checkpoint.
-    task.bolt->Snapshot(&ckpt.state);
-    ckpt.has_state = true;
-  }
 
   std::vector<Envelope> log;
   size_t replay_pos = 0;
@@ -1193,18 +1193,11 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
   int64_t backoff = supervision.initial_backoff_micros;
   bool gave_up = false;
 
-  // Tiered state store (SetStore): this task's durable checkpoint chain.
-  // Sync mode mirrors each in-memory checkpoint with a full base image
-  // written inline; async mode freezes a view at the boundary, hands
-  // encode + write to the checkpoint service, and truncates the replay log
-  // only once the service reports the epoch durable — so a crash at any
-  // point recovers from the newest consistent base + delta chain plus the
-  // still-retained log suffix.
-  store::StateStore* sstore =
-      ckpt_interval > 0 && task.id < static_cast<int>(task_stores.size())
-          ? task_stores[task.id].get()
-          : nullptr;
-  const bool async_store = sstore != nullptr && store_opts.async();
+  // Checkpoint chain (docs/INTERNALS.md §13): freeze a view at the
+  // boundary, hand encode + write to the checkpoint service, and truncate
+  // the replay log only once the service reports the epoch durable — so a
+  // crash at any point recovers from the newest consistent base + delta
+  // chain plus the still-retained log suffix.
   struct PendingCkpt {
     uint64_t epoch = 0;
     uint64_t executed = 0;
@@ -1213,9 +1206,8 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
   };
   std::deque<PendingCkpt> pending_ckpts;  // submitted, durability unknown
   uint64_t next_epoch = 0;
-  // Freeze cadence anchor. In sync mode it mirrors ckpt.executed; in async
-  // mode ckpt.executed lags at the last *durable* epoch while freezes keep
-  // firing every ckpt_interval on this counter.
+  // Freeze cadence anchor: ckpt.executed lags at the last *durable* epoch
+  // while freezes keep firing every ckpt_interval on this counter.
   uint64_t freeze_anchor = executed_total;
   const auto submit_frozen = [&](store::FrozenBlob fb) {
     const bool is_base = !fb.is_delta;
@@ -1229,7 +1221,7 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
     job.epoch = p.epoch;
     job.is_base = is_base;
     job.blob = std::move(fb);
-    job.store = sstore;
+    job.store = task.store.get();
     TaskMetrics* mp = &m;
     job.on_complete = [mp, is_base](bool ok, uint64_t bytes, uint64_t nanos) {
       if (!ok) return;  // wedge-skips and failed writes count nothing
@@ -1248,7 +1240,7 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
   // recovery anchor. A wedged store never advances, so the log keeps
   // everything needed to recover from the last durable chain.
   const auto confirm_durable = [&]() {
-    if (!async_store || !ckpt_service->DurableSet(task.id)) return;
+    if (!ckpt_service->DurableSet(task.id)) return;
     const uint64_t durable = ckpt_service->DurableEpoch(task.id);
     while (!pending_ckpts.empty() && pending_ckpts.front().epoch <= durable) {
       PendingCkpt p = std::move(pending_ckpts.front());
@@ -1264,30 +1256,18 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
       ckpt.cursor = p.cursor;
     }
   };
-  if (sstore != nullptr) {
+  if (supervised) {
     // Incarnation start: this run owns the chain — drop whatever a prior
     // incarnation left, then seed epoch 0 with a full base so recovery
     // always has a floor to compose from.
-    if (async_store) {
-      ckpt_service->Barrier(task.id);
-      ckpt_service->Reset(task.id);
-    }
-    Status st = sstore->Truncate();
-    if (st.ok() && async_store) {
-      store::FrozenBlob init;
-      auto blob = std::make_shared<std::string>(ckpt.state);
-      init.encode = [blob](std::string* out) { *out = std::move(*blob); };
-      submit_frozen(std::move(init));
-    } else if (st.ok()) {
-      st = sstore->WriteBase(next_epoch++, ckpt.state);
-      if (st.ok()) {
-        m.base_checkpoints.Increment();
-        m.base_checkpoint_bytes.Add(ckpt.state.size());
-      }
-    }
+    ckpt_service->Barrier(task.id);
+    ckpt_service->Reset(task.id);
+    const Status st = task.store->Truncate();
     if (!st.ok()) {
       LOG(ERROR) << "state store init failed for task " << task.id << ": "
                  << st.message();
+    } else if (snap_ok) {
+      submit_frozen(task.bolt->Freeze(/*want_delta=*/false));
     }
   }
 
@@ -1306,35 +1286,32 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
     task.bolt = comp.bolt_factory();
     CHECK(task.bolt != nullptr);
     task.bolt->Prepare(ctx);
-    if (async_store) {
-      // Quiesce the checkpoint thread, then recover from the durable
-      // chain: newest intact base + contiguous deltas, in epoch order.
-      // The replay log still covers everything past the durable epoch
-      // (truncation waits for durability), so chain + replay reproduces
-      // the pre-crash state exactly.
-      ckpt_service->Barrier(task.id);
-      confirm_durable();
-      pending_ckpts.clear();  // processed; anything past durable is gone
-      store::RecoveredChain chain;
-      const Status st = sstore->Recover(&chain);
-      if (!st.ok()) {
-        LOG(ERROR) << "recovery scan failed for task " << task.id << ": "
-                   << st.message();
-      }
-      if (chain.valid) {
-        task.bolt->Restore(chain.base);
-        for (const std::string& d : chain.deltas) task.bolt->RestoreDelta(d);
-        task.bolt->OnRestoreComplete();
-      } else {
-        // Nothing durable yet (crash before epoch 0 landed): the anchor
-        // still sits at the in-memory initial checkpoint.
-        CHECK(!ckpt_service->DurableSet(task.id))
-            << "durable chain lost for task " << task.id;
-        if (ckpt.has_state) task.bolt->Restore(ckpt.state);
-      }
-    } else {
-      if (ckpt.has_state) task.bolt->Restore(ckpt.state);
+    // Quiesce the checkpoint thread, then recover from the durable chain:
+    // newest intact base + contiguous deltas, in epoch order. The replay
+    // log still covers everything past the durable epoch (truncation waits
+    // for durability), so chain + replay reproduces the pre-crash state
+    // exactly.
+    ckpt_service->Barrier(task.id);
+    confirm_durable();
+    pending_ckpts.clear();  // processed; anything past durable is gone
+    store::RecoveredChain chain;
+    const Status st = task.store->Recover(&chain);
+    if (!st.ok()) {
+      LOG(ERROR) << "recovery scan failed for task " << task.id << ": " << st.message();
     }
+    // A bolt without snapshot support has no chain: the fresh instance
+    // replays the whole log.
+    if (chain.valid) {
+      task.bolt->Restore(chain.base);
+      for (const std::string& d : chain.deltas) task.bolt->RestoreDelta(d);
+    } else if (snap_ok) {
+      // The epoch-0 write failed (wedged store) or the chain vanished:
+      // nothing to restore from exactly, so fail instead of diverging.
+      MarkFailed("bolt task " + comp.name + "[" + std::to_string(task.local_index) +
+                 "] has no durable checkpoint to recover from");
+      return false;
+    }
+    task.bolt->OnRestoreComplete();
     collector.Rollback(ckpt.cursor);
     executed_total = ckpt.executed;
     freeze_anchor = executed_total;
@@ -1359,43 +1336,17 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
       if (ckpt_interval > 0 && executed_total == freeze_anchor + ckpt_interval) {
         collector.FlushAll();  // checkpointed cursors must equal delivery state
         const int64_t t0 = NowNanos();
-        if (async_store) {
-          // Freeze a consistent view at this exact boundary and hand it to
-          // the service thread. Only the capture cost lands on the hot
-          // path; encode + write time is attributed via on_complete. The
-          // log is NOT truncated here — that waits for durability.
-          const bool want_delta = task.bolt->SupportsDeltaSnapshot() &&
-                                  store_opts.delta_base_interval > 0 &&
-                                  (next_epoch % store_opts.delta_base_interval) != 0;
-          submit_frozen(task.bolt->Freeze(want_delta));
-          freeze_anchor = executed_total;
-          m.checkpoint_nanos.Add(static_cast<uint64_t>(NowNanos() - t0));
-          confirm_durable();
-        } else {
-          ckpt.state.clear();
-          task.bolt->Snapshot(&ckpt.state);
-          ckpt.has_state = true;
-          ckpt.executed = executed_total;
-          collector.SaveCursor(&ckpt.cursor);
-          log.erase(log.begin(), log.begin() + static_cast<ptrdiff_t>(replay_pos));
-          log_high -= replay_pos;
-          replay_pos = 0;
-          freeze_anchor = executed_total;
-          m.checkpoints.Increment();
-          m.checkpoint_bytes.Add(ckpt.state.size());
-          m.checkpoint_nanos.Add(static_cast<uint64_t>(NowNanos() - t0));
-          if (sstore != nullptr) {
-            // Sync store: mirror the checkpoint with a durable base image.
-            const Status st = sstore->WriteBase(next_epoch++, ckpt.state);
-            if (st.ok()) {
-              m.base_checkpoints.Increment();
-              m.base_checkpoint_bytes.Add(ckpt.state.size());
-            } else {
-              LOG(ERROR) << "sync base write failed for task " << task.id << ": "
-                         << st.message();
-            }
-          }
-        }
+        // Freeze a consistent view at this exact boundary and hand it to
+        // the service thread. Only the capture cost lands on the hot path;
+        // encode + write time is attributed via on_complete. The log is
+        // NOT truncated here — that waits for durability.
+        const bool want_delta = task.bolt->SupportsDeltaSnapshot() &&
+                                store_opts.delta_base_interval > 0 &&
+                                (next_epoch % store_opts.delta_base_interval) != 0;
+        submit_frozen(task.bolt->Freeze(want_delta));
+        freeze_anchor = executed_total;
+        m.checkpoint_nanos.Add(static_cast<uint64_t>(NowNanos() - t0));
+        confirm_durable();
         continue;
       }
       // Cap the run so the next kill / checkpoint fires at its exact count.
@@ -1490,13 +1441,11 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
   const auto handle_marker = [&](uint64_t marker_id) -> MarkerOutcome {
     const uint32_t migration_id = static_cast<uint32_t>(marker_id);
     collector.FlushAll();
-    if (async_store) {
-      // No checkpoint write may race the handoff. The migration blob is a
-      // full self-contained snapshot; the next incarnation (here or on the
-      // target) truncates and reseeds the chain.
-      ckpt_service->Barrier(task.id);
-      confirm_durable();
-    }
+    // No checkpoint write may race the handoff. The migration blob is a
+    // full self-contained snapshot; the next incarnation (here or on the
+    // target) truncates and reseeds the chain.
+    ckpt_service->Barrier(task.id);
+    confirm_durable();
     MigrationState st;
     st.task_id = static_cast<uint32_t>(task.id);
     st.executed_total = executed_total;
@@ -1673,7 +1622,7 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
     collector.FlushAll();
     collector.SendEosAll();  // downstream still needs to terminate
   } else {
-    if (async_store) {
+    if (supervised) {
       // Settle in-flight checkpoints so end-of-run counters and spill
       // segment GC are deterministic before Finish publishes stats.
       ckpt_service->Barrier(task.id);
@@ -2291,7 +2240,6 @@ TopologyBuilder& TopologyBuilder::SetSupervision(SupervisorOptions options) {
 }
 
 TopologyBuilder& TopologyBuilder::SetStore(store::StoreOptions options) {
-  CHECK(options.enabled()) << "SetStore requires a non-empty directory";
   impl_->store_opts = std::move(options);
   return *this;
 }
@@ -2424,26 +2372,13 @@ std::unique_ptr<Topology> TopologyBuilder::Build() {
 
   t.ever_hosted = t.hosted;  // migrations extend this; Build placement seeds it
 
-  if (t.store_opts.enabled()) {
-    CHECK(t.supervised) << "SetStore requires SetSupervision";
-    Status st = store::EnsureDir(t.store_opts.dir);
+  if (!t.store_opts.dir.empty()) {
+    CHECK(t.supervised) << "SetStore with a directory requires SetSupervision";
+    const Status st = store::EnsureDir(t.store_opts.dir);
     CHECK(st.ok()) << "cannot create store dir " << t.store_opts.dir << ": "
                    << st.message();
-    t.task_stores.resize(t.tasks.size());
-    for (Task& task : t.tasks) {
-      if (task.bolt == nullptr || !t.Hosted(task.id)) continue;
-      // Per-task chain directories are disjoint, so multi-rank runs over a
-      // shared filesystem never race each other; stale contents are
-      // truncated when the executor starts its incarnation.
-      const std::string dir = t.store_opts.dir + "/task_" + std::to_string(task.id);
-      st = store::EnsureDir(dir);
-      CHECK(st.ok()) << "cannot create task store dir " << dir << ": " << st.message();
-      t.task_stores[task.id] = std::make_unique<store::StateStore>(dir);
-    }
-    if (t.store_opts.async()) {
-      t.ckpt_service = std::make_unique<store::CheckpointService>();
-    }
   }
+  if (t.supervised) t.ckpt_service = std::make_unique<store::CheckpointService>();
 
   if (t.overload_active) {
     t.task_exited = std::make_unique<std::atomic<uint8_t>[]>(t.tasks.size());

@@ -216,21 +216,21 @@ class TopologyBuilder {
   /// the substrate never drops tuples on its own.
   TopologyBuilder& SetOverload(OverloadOptions options);
 
-  /// Attaches a tiered state store (docs/INTERNALS.md §13). Requires
-  /// supervision. Checkpoints then persist to `options.dir` instead of
-  /// living only in the supervisor's memory: in kSync mode each
-  /// checkpoint writes a full base image inline (durability without new
-  /// moving parts); in kAsync mode the executor freezes a cheap
+  /// Configures the checkpoint chain of supervised bolts (docs/INTERNALS.md
+  /// §13). Every supervised snapshot-capable bolt checkpoints the same
+  /// way, with or without this call: the executor freezes a cheap
   /// copy-on-write view at the checkpoint boundary and a dedicated
   /// checkpoint thread encodes and writes it — deltas between full bases
   /// every `delta_base_interval` checkpoints — so the hot path never
-  /// blocks on serialization or I/O. Recovery composes newest intact
-  /// base + contiguous delta chain; a torn or corrupt newest checkpoint
-  /// falls back to the previous consistent chain. Bolts under a memory
-  /// budget additionally spill cold window state to checksummed segments
-  /// in the same directory (see JoinerBolt). Each task owns a disjoint
-  /// subdirectory, truncated when its executor starts — one topology run
-  /// at a time owns the tree.
+  /// blocks on serialization or I/O; the replay log is truncated once a
+  /// checkpoint is durable. With an empty `options.dir` the chains live in
+  /// memory. A non-empty dir (requires supervision) persists them: each
+  /// task owns the subdirectory task_<id>, truncated when its executor
+  /// starts — one topology run at a time owns the tree. Recovery composes
+  /// newest intact base + contiguous delta chain; a torn or corrupt newest
+  /// checkpoint falls back to the previous consistent chain. Bolts under a
+  /// memory budget may additionally spill cold window state to checksummed
+  /// segments in the same directory (see JoinerBolt).
   TopologyBuilder& SetStore(store::StoreOptions options);
 
   /// Installs a deterministic fault schedule (task kills, link

@@ -1,13 +1,14 @@
-// Equivalence of the tiered checkpoint paths (docs/INTERNALS.md §13):
-// sync full-image checkpoints, async base+delta chains, and the on-disk
-// spill tier must all recover a faulted run to the exact result set of the
-// failure-free run — across batch sizes, delta cadences, and kills landing
-// mid-checkpoint. The joiner-level suites additionally check that a chain
+// Equivalence of the checkpoint chain (docs/INTERNALS.md §13): base+delta
+// chains kept in memory or on disk, and the on-disk spill tier, must all
+// recover a faulted run to the exact result set of the failure-free run —
+// across batch sizes, delta cadences, and kills landing mid-checkpoint. The joiner-level suites additionally check that a chain
 // of FreezeBase + FreezeDelta blobs composes to a byte-identical snapshot.
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -223,13 +224,13 @@ TEST(JoinerDeltaChain, FrozenViewIsImmutableUnderConcurrentMutation) {
       << "frozen view changed under post-freeze mutation";
 }
 
-// --- Topology-level: sync vs async vs clean ------------------------------
+// --- Topology-level: the checkpoint chain in memory and on disk --------
 
-/// Fixture: one clean unsupervised run is the oracle; every store
-/// configuration, batch size, and fault schedule must reproduce it.
-class StoreEquivalence : public ::testing::Test {
+/// One clean unsupervised run is the oracle; the supervised runs built on
+/// `options_` must reproduce it.
+class StoreHarness : public ::testing::Test {
  protected:
-  StoreEquivalence() {
+  StoreHarness() {
     stream_ = MakeStream(417, 900);
     options_.sim = SimilaritySpec(SimilarityFunction::kJaccard, 750);
     options_.num_joiners = 3;
@@ -254,12 +255,47 @@ class StoreEquivalence : public ::testing::Test {
     return result;
   }
 
-  void ExpectMatchesClean(const std::string& fault_script, bool expect_restarts) {
-    const DistributedJoinResult clean = RunClean();
+  std::vector<RecordPtr> stream_;
+  DistributedJoinOptions options_;
+};
+
+enum class Backend { kMemory, kDisk };
+
+/// Every kill schedule, batch size and delta cadence must recover exactly
+/// with the chain in memory (no store_dir) and on disk. An in-memory run
+/// must not touch the filesystem: TMPDIR points at an empty directory for
+/// its duration and must still be empty afterwards.
+class StoreEquivalence : public StoreHarness, public ::testing::WithParamInterface<Backend> {
+ protected:
+  /// Fresh store root per call on disk; none in memory.
+  void UseBackend() {
+    tmp_ = std::make_unique<ScopedTempDir>();
+    options_.store_dir = GetParam() == Backend::kDisk ? tmp_->path() : std::string();
+  }
+
+  DistributedJoinResult RunSupervised(const std::string& fault_script) {
+    UseBackend();
     DistributedJoinOptions cfg = options_;
     cfg.supervise = true;
     cfg.fault_script = fault_script;
-    const DistributedJoinResult got = RunDistributedJoin(stream_, cfg);
+    if (GetParam() == Backend::kDisk) return RunDistributedJoin(stream_, cfg);
+    const char* old = std::getenv("TMPDIR");
+    const std::string saved = old != nullptr ? old : "";
+    setenv("TMPDIR", tmp_->path().c_str(), 1);
+    DistributedJoinResult got = RunDistributedJoin(stream_, cfg);
+    if (old != nullptr) {
+      setenv("TMPDIR", saved.c_str(), 1);
+    } else {
+      unsetenv("TMPDIR");
+    }
+    EXPECT_TRUE(std::filesystem::is_empty(tmp_->path()))
+        << "an in-memory checkpoint chain wrote under TMPDIR";
+    return got;
+  }
+
+  void ExpectMatchesClean(const std::string& fault_script, bool expect_restarts) {
+    const DistributedJoinResult clean = RunClean();
+    const DistributedJoinResult got = RunSupervised(fault_script);
     ASSERT_TRUE(got.ok) << got.failure_message;
     if (expect_restarts) {
       EXPECT_GT(got.restarts, 0u);
@@ -272,29 +308,17 @@ class StoreEquivalence : public ::testing::Test {
     ASSERT_GT(expect.size(), 0u) << "vacuous test stream";
   }
 
-  std::vector<RecordPtr> stream_;
-  DistributedJoinOptions options_;
+  std::unique_ptr<ScopedTempDir> tmp_;
 };
 
-TEST_F(StoreEquivalence, SyncStoreMatchesCleanUnderKills) {
-  ScopedTempDir tmp;
-  options_.store_dir = tmp.path();
-  options_.checkpoint_mode = store::CheckpointMode::kSync;
-  ExpectMatchesClean("kill:joiner:1@150; kill:joiner:0@500", /*expect_restarts=*/true);
-  // The sync store mirrors every checkpoint as a durable base: the store
-  // root must hold per-task chain directories.
-  size_t task_dirs = 0;
-  for (const auto& e : std::filesystem::directory_iterator(tmp.path())) {
-    if (e.is_directory() && e.path().filename().string().rfind("task_", 0) == 0) ++task_dirs;
-  }
-  EXPECT_GT(task_dirs, 0u) << "sync mode wrote no task directories";
-}
+INSTANTIATE_TEST_SUITE_P(Backends, StoreEquivalence,
+                         ::testing::Values(Backend::kMemory, Backend::kDisk),
+                         [](const ::testing::TestParamInfo<Backend>& info) {
+                           return info.param == Backend::kDisk ? "Disk" : "Memory";
+                         });
 
-TEST_F(StoreEquivalence, AsyncDeltaMatchesCleanAcrossBatchSizes) {
+TEST_P(StoreEquivalence, DeltaChainMatchesCleanAcrossBatchSizes) {
   for (const size_t batch : {size_t{1}, size_t{7}, size_t{32}}) {
-    ScopedTempDir tmp;
-    options_.store_dir = tmp.path();
-    options_.checkpoint_mode = store::CheckpointMode::kAsync;
     options_.delta_base_interval = 4;
     options_.batch_size = batch;
     SCOPED_TRACE("batch=" + std::to_string(batch));
@@ -302,47 +326,34 @@ TEST_F(StoreEquivalence, AsyncDeltaMatchesCleanAcrossBatchSizes) {
   }
 }
 
-TEST_F(StoreEquivalence, AsyncEveryCadenceMatchesClean) {
+TEST_P(StoreEquivalence, EveryCadenceMatchesClean) {
   // interval 1 = every checkpoint a base; 0 = never compact (all deltas
   // after the seed base); 4 = mixed.
   for (const uint32_t interval : {0u, 1u, 4u}) {
-    ScopedTempDir tmp;
-    options_.store_dir = tmp.path();
-    options_.checkpoint_mode = store::CheckpointMode::kAsync;
     options_.delta_base_interval = interval;
     SCOPED_TRACE("delta_base_interval=" + std::to_string(interval));
     ExpectMatchesClean("kill:joiner:0@300", /*expect_restarts=*/true);
   }
 }
 
-TEST_F(StoreEquivalence, KillLandingMidCheckpointWindow) {
+TEST_P(StoreEquivalence, KillLandingMidCheckpointWindow) {
   // Checkpoint boundaries land every 64 executed tuples per task; kills at
   // boundary-straddling counts catch a task between freeze and durable
-  // confirm (the async race the log-truncation rule must win).
-  ScopedTempDir tmp;
-  options_.store_dir = tmp.path();
-  options_.checkpoint_mode = store::CheckpointMode::kAsync;
+  // confirm (the race the log-truncation rule must win).
   options_.delta_base_interval = 2;
   ExpectMatchesClean("kill:joiner:0@64; kill:joiner:1@65; kill:joiner:2@129",
                      /*expect_restarts=*/true);
 }
 
-TEST_F(StoreEquivalence, RepeatedKillsOfOneTask) {
-  ScopedTempDir tmp;
-  options_.store_dir = tmp.path();
-  options_.checkpoint_mode = store::CheckpointMode::kAsync;
+TEST_P(StoreEquivalence, RepeatedKillsOfOneTask) {
   options_.delta_base_interval = 4;
   ExpectMatchesClean("kill:joiner:1@100; kill:joiner:1@101; kill:joiner:1@400",
                      /*expect_restarts=*/true);
 }
 
-TEST_F(StoreEquivalence, AsyncCountsDeltasAndBasesSeparately) {
-  ScopedTempDir tmp;
-  options_.store_dir = tmp.path();
-  options_.checkpoint_mode = store::CheckpointMode::kAsync;
+TEST_P(StoreEquivalence, CountsDeltasAndBasesSeparately) {
   options_.delta_base_interval = 4;
-  options_.supervise = true;
-  const DistributedJoinResult got = RunDistributedJoin(stream_, options_);
+  const DistributedJoinResult got = RunSupervised("");
   ASSERT_TRUE(got.ok) << got.failure_message;
   EXPECT_GT(got.delta_checkpoints, 0u);
   EXPECT_GT(got.base_checkpoints, 0u);  // at least the epoch-0 seeds
@@ -354,9 +365,11 @@ TEST_F(StoreEquivalence, AsyncCountsDeltasAndBasesSeparately) {
             got.base_checkpoint_bytes / std::max<uint64_t>(1, got.base_checkpoints));
 }
 
-// --- Spill tier: windows larger than the memory budget -------------------
+// --- Spill tier (disk only): windows larger than the memory budget ------
 
-TEST_F(StoreEquivalence, SpillPreservesRecallWhereEvictionLosesIt) {
+using DiskStoreEquivalence = StoreHarness;
+
+TEST_F(DiskStoreEquivalence, SpillPreservesRecallWhereEvictionLosesIt) {
   // A count window far above what max_index_bytes can hold: the eviction
   // run must drop stored records (losing pairs), the spill run must match
   // the unlimited-memory oracle exactly.
@@ -377,7 +390,6 @@ TEST_F(StoreEquivalence, SpillPreservesRecallWhereEvictionLosesIt) {
   DistributedJoinOptions spill = options_;
   spill.supervise = true;
   spill.store_dir = tmp.path();
-  spill.checkpoint_mode = store::CheckpointMode::kAsync;
   spill.spill_watermark = 0.5;
   spill.store_segment_bytes = 16 * 1024;
   const DistributedJoinResult spilled = RunDistributedJoin(stream_, spill);
@@ -389,7 +401,7 @@ TEST_F(StoreEquivalence, SpillPreservesRecallWhereEvictionLosesIt) {
       << "spill tier changed the result set";
 }
 
-TEST_F(StoreEquivalence, SpillSurvivesKills) {
+TEST_F(DiskStoreEquivalence, SpillSurvivesKills) {
   options_.window = WindowSpec::ByCount(600);
   options_.max_index_bytes = 20 * 1024;
   const DistributedJoinResult oracle = RunClean();
@@ -398,7 +410,6 @@ TEST_F(StoreEquivalence, SpillSurvivesKills) {
   DistributedJoinOptions spill = options_;
   spill.supervise = true;
   spill.store_dir = tmp.path();
-  spill.checkpoint_mode = store::CheckpointMode::kAsync;
   spill.delta_base_interval = 3;
   spill.spill_watermark = 0.5;
   spill.store_segment_bytes = 16 * 1024;
@@ -412,29 +423,9 @@ TEST_F(StoreEquivalence, SpillSurvivesKills) {
       << "spill recovery diverged from the oracle";
 }
 
-TEST_F(StoreEquivalence, SyncSpillAlsoExact) {
-  options_.window = WindowSpec::ByCount(600);
-  options_.max_index_bytes = 20 * 1024;
-  const DistributedJoinResult oracle = RunClean();
-
-  ScopedTempDir tmp;
-  DistributedJoinOptions spill = options_;
-  spill.supervise = true;
-  spill.store_dir = tmp.path();
-  spill.checkpoint_mode = store::CheckpointMode::kSync;
-  spill.spill_watermark = 0.5;
-  spill.store_segment_bytes = 16 * 1024;
-  spill.fault_script = "kill:joiner:2@400";
-  const DistributedJoinResult got = RunDistributedJoin(stream_, spill);
-  ASSERT_TRUE(got.ok) << got.failure_message;
-  EXPECT_GT(got.spilled_bytes, 0u);
-  EXPECT_EQ(got.result_count, oracle.result_count);
-  EXPECT_EQ(Canonical(got.pairs), Canonical(oracle.pairs));
-}
-
 // Bundle joiner keeps PR 3 eviction (no per-record cold granularity): a
 // spill-configured bundle run must still work, just without spilling.
-TEST_F(StoreEquivalence, BundleJoinerIgnoresSpillGracefully) {
+TEST_F(DiskStoreEquivalence, BundleJoinerIgnoresSpillGracefully) {
   options_.local = LocalAlgorithm::kBundle;
   options_.window = WindowSpec::ByCount(400);
   options_.max_index_bytes = 32 * 1024;
@@ -442,7 +433,6 @@ TEST_F(StoreEquivalence, BundleJoinerIgnoresSpillGracefully) {
   DistributedJoinOptions cfg = options_;
   cfg.supervise = true;
   cfg.store_dir = tmp.path();
-  cfg.checkpoint_mode = store::CheckpointMode::kAsync;
   cfg.spill_watermark = 0.5;
   const DistributedJoinResult got = RunDistributedJoin(stream_, cfg);
   ASSERT_TRUE(got.ok) << got.failure_message;
@@ -450,12 +440,30 @@ TEST_F(StoreEquivalence, BundleJoinerIgnoresSpillGracefully) {
   EXPECT_GT(got.result_count, 0u);
 }
 
+// A task whose chain never becomes durable (here: every task_<id> path is
+// a plain file, so no checkpoint write succeeds) has nothing to recover
+// from exactly; a kill must fail the run rather than let it diverge.
+TEST_F(DiskStoreEquivalence, UnwritableChainFailsTheRunOnRecovery) {
+  ScopedTempDir tmp;
+  for (int id = 0; id < 16; ++id) {
+    std::FILE* f = std::fopen((tmp.path() + "/task_" + std::to_string(id)).c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fclose(f);
+  }
+  options_.store_dir = tmp.path();
+  options_.supervise = true;
+  options_.fault_script = "kill:joiner:1@150";
+  const DistributedJoinResult got = RunDistributedJoin(stream_, options_);
+  EXPECT_FALSE(got.ok);
+  EXPECT_NE(got.failure_message.find("no durable checkpoint"), std::string::npos)
+      << got.failure_message;
+}
+
 // After a healthy run every task directory must hold exactly one live
 // chain (newest base + trailing deltas) — no tmp files, no stale epochs.
-TEST_F(StoreEquivalence, StoreDirHygieneAfterRun) {
+TEST_F(DiskStoreEquivalence, StoreDirHygieneAfterRun) {
   ScopedTempDir tmp;
   options_.store_dir = tmp.path();
-  options_.checkpoint_mode = store::CheckpointMode::kAsync;
   options_.delta_base_interval = 4;
   options_.supervise = true;
   const DistributedJoinResult got = RunDistributedJoin(stream_, options_);

@@ -7,6 +7,8 @@
 // against the clean run.
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -20,6 +22,7 @@
 #include "net/transport.h"
 #include "stream/fault.h"
 #include "stream/migration.h"
+#include "store/format.h"
 #include "stream/topology.h"
 #include "workload/generator.h"
 
@@ -436,6 +439,85 @@ TEST(TcpMigrationTest, ElasticClusterMatchesInproc) {
   ASSERT_TRUE(worker.ok) << worker.failure_message;
   EXPECT_EQ(got.result_count, inproc.result_count);
   EXPECT_EQ(Canonical(got.pairs), Canonical(inproc.pairs));
+}
+
+// A joiner the controller moves onto rank 1 must checkpoint there through
+// its own chain and recover from it when killed there. Each rank gets its
+// own store root (as separate hosts would), a 128 KiB index budget makes
+// the joiners spill, and both joiners are killed late in the stream —
+// after the first controller tick has spread one of them onto rank 1.
+TEST(TcpMigrationTest, MigratedJoinerRecoversFromItsStoreOnTheNewRank) {
+  const std::vector<uint16_t> ports = net::PickFreePorts(2);
+  if (ports.empty()) GTEST_SKIP() << "no localhost sockets available";
+  const auto stream = MakeStream(907, 2000);
+
+  DistributedJoinOptions base;
+  base.sim = SimilaritySpec(SimilarityFunction::kJaccard, 750);
+  base.num_joiners = 2;
+  base.collect_results = true;
+  base.length_partition =
+      PlanLengthPartition(stream, base.sim, base.num_joiners, PartitionMethod::kLoadAwareGreedy);
+  const DistributedJoinResult inproc = RunDistributedJoin(stream, base);
+  ASSERT_TRUE(inproc.ok);
+
+  std::string tmpl = ::testing::TempDir() + "dssj_tcp_store_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl.data()), nullptr);
+  const std::string root = tmpl;
+
+  DistributedJoinOptions elastic = base;
+  elastic.transport = JoinTransport::kTcp;
+  elastic.cluster = LocalhostCluster(ports);
+  elastic.elastic = true;
+  elastic.elastic_initial_workers = 1;
+  // The first tick spreads one joiner onto rank 1; at threshold 0.5 two
+  // joiners on two ranks never look imbalanced enough to move again, so
+  // the joiner stays there until the stream ends (~200 ms), well past the
+  // kills.
+  elastic.elastic_interval_micros = 20'000;
+  elastic.migrate_threshold = 0.5;
+  elastic.arrival_rate_per_sec = 10'000;
+  elastic.supervision.checkpoint_interval = 64;
+  elastic.supervision.initial_backoff_micros = 50;
+  elastic.supervision.max_backoff_micros = 1000;
+  elastic.max_index_bytes = 128 * 1024;
+  elastic.spill_watermark = 0.5;
+  elastic.store_segment_bytes = 16 * 1024;
+  elastic.fault_script = "kill:joiner:0@600; kill:joiner:1@600";
+
+  DistributedJoinResult worker;
+  std::thread worker_thread([&] {
+    DistributedJoinOptions options = elastic;
+    options.rank = 1;
+    options.store_dir = root + "/rank1";
+    worker = RunDistributedJoin({}, options);
+  });
+  DistributedJoinOptions coord = elastic;
+  coord.rank = 0;
+  coord.store_dir = root + "/rank0";
+  const DistributedJoinResult got = RunDistributedJoin(stream, coord);
+  worker_thread.join();
+
+  ASSERT_TRUE(got.ok) << got.failure_message;
+  ASSERT_TRUE(worker.ok) << worker.failure_message;
+  EXPECT_GT(got.migrations, 0u);
+  EXPECT_GT(worker.restarts, 0u) << "no joiner was killed on rank 1; migrations " << got.migrations << " coordinator restarts " << got.restarts;
+  EXPECT_EQ(got.result_count, inproc.result_count);
+  EXPECT_EQ(Canonical(got.pairs), Canonical(inproc.pairs));
+
+  size_t chains = 0;
+  for (const auto& dir : std::filesystem::directory_iterator(root + "/rank1")) {
+    if (dir.path().filename().string().rfind("task_", 0) != 0) continue;
+    for (const auto& file : std::filesystem::directory_iterator(dir.path())) {
+      int kind = 0;
+      uint64_t epoch = 0;
+      if (store::ParseStoreFileName(file.path().filename().string(), &kind, &epoch) &&
+          kind == 0) {
+        ++chains;
+      }
+    }
+  }
+  EXPECT_GT(chains, 0u) << "rank 1 holds no checkpoint chain for the joiner it adopted";
+  store::RemoveTree(root);
 }
 
 }  // namespace

@@ -47,8 +47,9 @@ echo "== elastic migration scenarios =="
 echo "== tiered state store =="
 # Durable-state surface (docs/INTERNALS.md §13): checkpoint/segment file
 # formats with torn-write + bit-flip fuzz, spill GC life cycle, checkpoint
-# service ordering/wedging, and the recovery-equivalence suite (sync full
-# vs async base+delta vs spilled windows, kills landing mid-checkpoint).
+# service ordering/wedging, the in-memory chain, and the
+# recovery-equivalence suite (the base+delta chain in memory and on disk,
+# spilled windows, kills landing mid-checkpoint).
 (cd build && ctest -L store --output-on-failure)
 
 echo "== store repetition (N=20) =="
@@ -79,6 +80,7 @@ if [[ "$RUN_SANITIZE" == "1" ]]; then
   TSAN_SAFE_TARGETS=(queue_test ring_queue_test queue_equivalence_test
                      topology_test topology_stress_test
                      stream_substrate_misc_test fault_recovery_test
+                     checkpoint_equivalence_test store_test
                      distributed_join_test adaptive_router_test
                      ingest_lanes_test)
 
@@ -88,6 +90,16 @@ if [[ "$RUN_SANITIZE" == "1" ]]; then
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build build-tsan -j --target "${TSAN_SAFE_TARGETS[@]}"
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ctest -L tsan_safe --output-on-failure)
+
+  echo "== checkpoint thread repetition (TSan, N=10) =="
+  # Every supervised bolt hands its frozen views to the checkpoint service
+  # thread, and recovery barriers on it before reading the chain back
+  # (docs/INTERNALS.md §13). Repeat the kill/recovery suites so a race
+  # between freeze, off-thread encode, durable confirm and recovery has
+  # real odds of surfacing.
+  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" \
+    ctest -R '^(fault_recovery_test|checkpoint_equivalence_test)$' --repeat until-fail:10 \
+    --output-on-failure)
 
   echo "== sharded router snapshot-publish repetition (TSan, N=20) =="
   # With ingest lanes every lane's router reads the adaptive epoch list as
